@@ -303,6 +303,11 @@ def graph6_decode(text: str) -> Graph:
     s = text.strip()
     if not s:
         raise Graph6Error("empty graph6 text")
+    if s.startswith(">>graph6<<"):
+        raise Graph6Error("the optional '>>graph6<<' header is not supported; remove it")
+    lines = len(s.splitlines())
+    if lines > 1:
+        raise Graph6Error(f"expected one graph6 line, got {lines}; give one graph per input")
     first = ord(s[0])
     if first == 126:
         raise Graph6Error("long-form graph6 (n > 62) is not supported")

@@ -143,13 +143,20 @@ class CanonicalForm:
 
 
 class _IRSearch:
-    """One full traversal of the individualization-refinement tree.
+    """Depth-first traversal of the individualization-refinement tree
+    with orbit pruning.
 
-    Every discrete partition (leaf) is visited; there is no invariant or
-    orbit pruning.  The first leaf serves as the reference labelling:
-    any later leaf with the same certificate yields an automorphism, and
-    the lexicographically smallest certificate over all leaves is the
-    canonical form.
+    The first leaf serves as the reference labelling: any later leaf
+    with the same certificate yields an automorphism, and the
+    lexicographically smallest certificate over the leaves is the
+    canonical form.  At each node, a child is skipped when it lies in
+    the orbit of an already searched sibling under the automorphisms
+    found so far that fix every individualized vertex on the path to
+    the node.  Such a child's subtree is an automorphic image of a
+    subtree searched earlier, so it holds the same certificates and its
+    automorphisms are products of ones already found: the canonical
+    form, the leaf that first reaches it, and the generators found are
+    those of the full traversal.  There is no invariant pruning.
     """
 
     def __init__(self, g: Graph) -> None:
@@ -163,7 +170,7 @@ class _IRSearch:
 
     def run(self) -> tuple[tuple[Permutation, ...], Permutation, bytes]:
         root = _refine_cells(self.g, [tuple(range(self.g.n))])
-        self._node(root)
+        self._node(root, ())
         assert self.best is not None
         return tuple(self.gens), self.best[0], self.best[1]
 
@@ -175,15 +182,38 @@ class _IRSearch:
                 best = idx
         return best
 
-    def _node(self, cells: list[tuple[int, ...]]) -> None:
+    def _node(self, cells: list[tuple[int, ...]], prefix: tuple[int, ...]) -> None:
         target = self._target_cell(cells)
         if target is None:
             self._leaf(cells)
             return
+        covered: set[int] = set()
         for v in cells[target]:
+            if v in covered:
+                continue
             rest = tuple(u for u in cells[target] if u != v)
             child = cells[:target] + [(v,), rest] + cells[target + 1:]
-            self._node(_refine_cells(self.g, child))
+            self._node(_refine_cells(self.g, child), prefix + (v,))
+            covered.add(v)
+            self._close_orbits(covered, prefix)
+
+    def _close_orbits(self, points: set[int], prefix: tuple[int, ...]) -> None:
+        """Grow ``points`` in place to its orbit under the generators
+        found so far that fix every vertex of ``prefix``."""
+        stab = [
+            gen.images for gen in self.gens
+            if all(gen.images[u] == u for u in prefix)
+        ]
+        if not stab:
+            return
+        stack = list(points)
+        while stack:
+            x = stack.pop()
+            for images in stab:
+                y = images[x]
+                if y not in points:
+                    points.add(y)
+                    stack.append(y)
 
     def _leaf(self, cells: list[tuple[int, ...]]) -> None:
         order = [cell[0] for cell in cells]

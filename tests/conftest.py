@@ -2,8 +2,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import settings
 
 from autkit import Graph, petersen_subsets
+
+# Fixed example sequence and no timing deadline, so every run of the suite
+# checks the same cases and a slow machine cannot fail a property test.
+settings.register_profile("autkit", derandomize=True, deadline=None, database=None)
+settings.load_profile("autkit")
 
 
 def graph_from_mask(n, mask):

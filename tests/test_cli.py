@@ -87,6 +87,20 @@ def test_aut_rejects_malformed_graph6():
     assert "error:" in proc.stderr
 
 
+def test_aut_names_multi_line_graph6_input(tmp_path):
+    path = tmp_path / "two.g6"
+    path.write_text("IheA@GUAo\nIheA@GUAo\n")
+    proc = run_cli(["aut", str(path)])
+    assert proc.returncode == 2
+    assert proc.stderr == "error: expected one graph6 line, got 2; give one graph per input\n"
+
+
+def test_aut_names_graph6_header():
+    proc = run_cli(["aut"], stdin_text=">>graph6<<IheA@GUAo\n")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: the optional '>>graph6<<' header is not supported; remove it\n"
+
+
 def test_canon_is_relabeling_invariant(tmp_path):
     g = petersen_subsets()
     sigma = Permutation([3, 1, 4, 0, 2, 9, 5, 8, 6, 7])

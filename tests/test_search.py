@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autkit import (
     CapacityError,
@@ -25,6 +27,7 @@ from autkit import (
 )
 
 from conftest import all_masks, graph_from_mask, random_graph
+from unpruned_search import unpruned_search
 
 PETERSEN_CERT = "n=10:e0180c0d4a60"
 
@@ -277,3 +280,71 @@ def test_brute_force_lexicographic_order(petersen):
 def test_brute_force_capacity_guard():
     with pytest.raises(CapacityError):
         brute_force_automorphisms(Graph(11, (0,) * 11))
+
+
+# --------------------------------------------------------------- pruning
+
+
+def assert_matches_unpruned(g):
+    gens, cf = automorphism_group(g), canonical_form(g)
+    want_gens, want_lab, want_cert = unpruned_search(g)
+    want_gens = want_gens or (Permutation.identity(g.n),)
+    assert cf.certificate == want_cert
+    assert cf.relabeling == want_lab
+    cap = math.factorial(g.n)
+    assert set(closure(list(gens), cap)) == set(closure(list(want_gens), cap))
+    # a skipped subtree holds only automorphisms already generated, so
+    # even the generator list (the text `autkit aut` prints) is unchanged
+    assert gens == want_gens
+
+
+def test_pruned_search_matches_unpruned_exhaustive_up_to_5():
+    for n in range(1, 6):
+        for mask in all_masks(n):
+            assert_matches_unpruned(graph_from_mask(n, mask))
+
+
+def test_pruned_search_matches_unpruned_random_6_to_8():
+    rng = random.Random(36)
+    for _ in range(150):
+        g = random_graph(rng, rng.randint(6, 8), rng.choice((0.25, 0.5, 0.75)))
+        assert_matches_unpruned(g)
+
+
+def test_pruned_search_matches_unpruned_symmetric():
+    cube = Graph.from_edges(8, [(u, u ^ (1 << b)) for u in range(8) for b in range(3) if u < u ^ (1 << b)])
+    two_k4 = Graph.from_edges(8, [(u, v) for u in range(8) for v in range(u + 1, 8) if u // 4 == v // 4])
+    c8 = Graph.from_edges(8, [(i, (i + 1) % 8) for i in range(8)])
+    for g in (cube, two_k4, c8, Graph(6, (0,) * 6), petersen_subsets()):
+        assert_matches_unpruned(g)
+
+
+@pytest.mark.parametrize(
+    "g, order",
+    [
+        (Graph(12, (0,) * 12), math.factorial(12)),
+        (kneser(7, 3), math.factorial(7)),
+        (johnson_general(7, 3, 1), math.factorial(8)),
+    ],
+    ids=["edgeless-12", "K(7,3)", "J(7,3,1)"],
+)
+def test_search_finishes_on_large_groups(g, order):
+    # before orbit pruning these took from seconds (K(7,3)) to hours (edgeless-12)
+    gens = automorphism_group(g)
+    assert all(is_automorphism(g, gen) for gen in gens)
+    assert schreier_sims(gens).order() == order
+    cf = canonical_form(g)
+    assert upper_bits(g, cf.relabeling) == cf.certificate
+
+
+SYMMETRIC = {"petersen": petersen_subsets(), "K(6,2)": kneser(6, 2), "J(6,2,1)": johnson_general(6, 2, 1)}
+
+
+@settings(max_examples=60)
+@given(name=st.sampled_from(sorted(SYMMETRIC)), data=st.data())
+def test_canonical_form_invariant_under_random_relabeling(name, data):
+    g = SYMMETRIC[name]
+    h = permute_graph(g, Permutation(data.draw(st.permutations(range(g.n)))))
+    cf = canonical_form(h)
+    assert cf.certificate == canonical_form(g).certificate
+    assert upper_bits(h, cf.relabeling) == cf.certificate
