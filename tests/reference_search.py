@@ -1,0 +1,65 @@
+"""Reference oracles for partition refinement and the leaf certificate in
+``autkit.search``: the plain versions, kept independent of the fast ones
+so that differential tests can catch a bug in either.
+
+``_refine_cells`` rescans every splitter from the first cell after each
+split; ``_cert_bytes`` packs the certificate one bit at a time.  Both are
+slow, so keep their inputs small."""
+
+from __future__ import annotations
+
+from autkit import Graph
+
+
+def _refine_cells(g: Graph, cells: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Fixpoint of splitting every cell by neighbour counts into every
+    splitter cell.  After a split the fragments keep the relative vertex
+    order and are emitted with the larger neighbour count first; any fixed
+    rule would do, this one is the deterministic contract."""
+    changed = True
+    while changed:
+        changed = False
+        for splitter in cells:
+            smask = 0
+            for v in splitter:
+                smask |= 1 << v
+            new_cells: list[tuple[int, ...]] = []
+            split_here = False
+            for cell in cells:
+                if len(cell) == 1:
+                    new_cells.append(cell)
+                    continue
+                counts = {v: (g.adj[v] & smask).bit_count() for v in cell}
+                distinct = sorted(set(counts.values()), reverse=True)
+                if len(distinct) == 1:
+                    new_cells.append(cell)
+                    continue
+                for key in distinct:
+                    new_cells.append(tuple(v for v in cell if counts[v] == key))
+                split_here = True
+            if split_here:
+                cells = new_cells
+                changed = True
+                break
+    return cells
+
+
+def _cert_bytes(g: Graph, order: list[int]) -> bytes:
+    """Upper-triangle adjacency bits of the graph relabelled so that
+    ``order[i]`` lands at position i, packed row-major, MSB first, zero
+    padded to whole bytes."""
+    out = bytearray()
+    acc = 0
+    nbits = 0
+    for i in range(g.n):
+        row = g.adj[order[i]]
+        for j in range(i + 1, g.n):
+            acc = (acc << 1) | ((row >> order[j]) & 1)
+            nbits += 1
+            if nbits == 8:
+                out.append(acc)
+                acc = 0
+                nbits = 0
+    if nbits:
+        out.append(acc << (8 - nbits))
+    return bytes(out)

@@ -16,6 +16,7 @@ from autkit import (
     canonical_form,
     closure,
     edge_count,
+    graph6_decode,
     is_automorphism,
     johnson_general,
     kneser,
@@ -26,7 +27,9 @@ from autkit import (
     schreier_sims,
 )
 
-from conftest import all_masks, graph_from_mask, random_graph
+import autkit.search as search
+import reference_search
+from conftest import all_masks, graph_from_mask, random_graph, run_cli
 from unpruned_search import unpruned_search
 
 PETERSEN_CERT = "n=10:e0180c0d4a60"
@@ -130,6 +133,72 @@ def test_refine_is_equitable_idempotent_never_coarsens():
         # every output cell sits inside one input cell
         for cell in p.cells:
             assert any(set(cell) <= set(orig) for orig in start.cells)
+
+
+def test_refine_cells_matches_reference_random():
+    rng = random.Random(37)
+    for _ in range(5000):
+        n = rng.randint(1, 16)
+        g = random_graph(rng, n, rng.choice((0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)))
+        cells = list(random_partition(rng, n).cells)
+        assert search._refine_cells(g, cells) == reference_search._refine_cells(g, cells)
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_refine_cells_matches_reference_property(data):
+    n = data.draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph.from_edges(n, [e for e in pairs if data.draw(st.booleans())])
+    order = data.draw(st.permutations(range(n)))
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1))) if n > 1 else set())
+    bounds = [0, *cuts, n]
+    cells = [tuple(order[a:b]) for a, b in zip(bounds, bounds[1:])]
+    assert search._refine_cells(g, cells) == reference_search._refine_cells(g, cells)
+
+
+# a seeded random cubic graph on 36 vertices (pairing model); it is rigid,
+# and individualizing any one vertex refines all the way to a leaf
+CUBIC_36 = graph6_decode(
+    "c??AI???C@?IGG??A??C?@C??C?OP?OC?_??????_?????C@?AA_???P???_?A_A??WA??OCO?@??G????a?O?C_??OS??A??A?CC??A?G"
+)
+
+
+@pytest.mark.parametrize(
+    "g", [kneser(6, 2), johnson_general(6, 2, 1), CUBIC_36], ids=["K(6,2)", "J(6,2,1)", "cubic-36"]
+)
+def test_refine_cells_matches_reference_on_search_partitions(g, monkeypatch):
+    calls = []
+    fast = search._refine_cells
+
+    def recording(graph, cells):
+        out = fast(graph, cells)
+        calls.append((list(cells), out))
+        return out
+
+    monkeypatch.setattr(search, "_refine_cells", recording)
+    canonical_form(g)
+    assert len(calls) > 1
+    for cells, out in calls:
+        assert out == reference_search._refine_cells(g, cells)
+
+
+# --------------------------------------------------------- leaf certificate
+
+
+def test_cert_bytes_matches_reference():
+    rng = random.Random(38)
+    padded = set()
+    for n in range(1, 41):
+        padded.add(n * (n - 1) // 2 % 8 != 0)
+        for p in (0.0, 0.1, 0.5, 1.0):
+            g = random_graph(rng, n, p)
+            for _ in range(3):
+                order = list(range(n))
+                rng.shuffle(order)
+                assert search._cert_bytes(g, order) == reference_search._cert_bytes(g, order)
+    # both whole-byte bit counts (n = 1, 16, 17, 32, 33) and padded ones
+    assert padded == {False, True}
 
 
 # --------------------------------------------------------- automorphisms
@@ -348,3 +417,61 @@ def test_canonical_form_invariant_under_random_relabeling(name, data):
     cf = canonical_form(h)
     assert cf.certificate == canonical_form(g).certificate
     assert upper_bits(h, cf.relabeling) == cf.certificate
+
+
+# ------------------------------------------------------- golden outputs
+# Pinned from the search before the refinement and certificate speedups.
+# These graphs are too large for the unpruned oracle, so the strings are
+# their only guard: any change here changes `autkit canon` and `iso` output.
+
+GOLDEN_CANON = {
+    "K(6,2)": (kneser(6, 2), "n=15:fc021e001f33033e19e2a54b4600"),
+    "J(6,2,1)": (johnson_general(6, 2, 1), "n=15:ff03670e4d3e0e6caa5d52fdaf80"),
+    "K(7,3)": (
+        kneser(7, 3),
+        "n=35:f00000000700000000e0000000380000001c000000124000009200000920000804800201200100900104040208200822"
+        "004108041200830000c000a000c0180140180c0503000000000000",
+    ),
+    "J(7,3,1)": (
+        johnson_general(7, 3, 1),
+        "n=35:ffffc0000db69da60b6d5b550db66d9906e6b9865aaeaa56c5f16911ec7852b6ad24e739a23c70f4b552db3632e3233c"
+        "a955ab1d2d04b3c4aae9337ff007ba5bb6771b95d5da1e5dbe1bc0",
+    ),
+    "cubic-36-a": (
+        CUBIC_36,
+        "n=36:e0000000050000000140000000300000001400000060000000600000018000000c000000c00000100030000000100000"
+        "200004800c00000100002000180044000c02000240000040080201090652a0",
+    ),
+    "cubic-36-b": (
+        graph6_decode(
+            "cOGO????OP??A??_I??Aa??@??g?K?G???_??O?G@GOOO???c?_G??O???C???????O?Q????OGC?@A?O??_?C??C??AOC????GPA??AC?"
+        ),
+        "n=36:e000000005000000014000000030000000120000003000000022000001100000110000022000400080000040100040100"
+        "080020004100002000100002080006020218004000800080050008810380c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CANON))
+def test_canonical_form_golden(name):
+    g, text = GOLDEN_CANON[name]
+    assert canonical_form(g).text() == text
+
+
+def test_iso_mapping_golden(tmp_path):
+    # a cubic graph on 36 vertices and a random relabelling of it
+    a = tmp_path / "a.g6"
+    b = tmp_path / "b.g6"
+    a.write_text(
+        "c__??O?????AOO?O?A?G?C???@?@?@???_?@??@OC?_?aO?K?@??AC????U?D@?????a??D_???OO?O@????AGG??@@???SO??A?I????G\n"
+    )
+    b.write_text(
+        "cA??G???KGAC??K??C????A???GA????I???G?CO?@??G?_??S??_?_CO?????PO???@oCQ???O?a??O@?@A???g?A@_??AA?C??GAO???\n"
+    )
+    proc = run_cli(["iso", str(a), str(b)])
+    assert proc.returncode == 0
+    assert proc.stdout == (
+        "1->19 2->26 3->1 4->6 5->8 6->14 7->34 8->24 9->32 10->16 11->36 12->22 13->29 14->18 15->31 16->4 "
+        "17->30 18->17 19->15 20->21 21->33 22->28 23->12 24->25 25->11 26->2 27->23 28->5 29->9 30->20 "
+        "31->10 32->27 33->13 34->3 35->35 36->7\n"
+    )

@@ -1,9 +1,11 @@
 """Reference oracle for the pruned search in ``autkit.search``: the same
 individualization-refinement traversal with no pruning at all, so every
-leaf is visited.  Its cost grows with |Aut|, so keep its inputs small."""
+leaf is visited.  Refinement and the leaf certificate come from the plain
+versions in ``reference_search``, not from the fast ones under test.  Its
+cost grows with |Aut|, so keep its inputs small."""
 
 from autkit import Permutation, schreier_sims
-from autkit.search import _cert_bytes, _refine_cells
+from reference_search import _cert_bytes, _refine_cells
 
 
 def unpruned_search(g):
