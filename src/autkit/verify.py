@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
 from .graphs import (
@@ -83,6 +84,65 @@ def _short_words(gens: list[Permutation], max_len: int) -> list[Permutation]:
     return words
 
 
+def _composer(images: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """The map q -> p * q on image tuples, for the permutation p with these
+    images (left-to-right: apply p, then q), as one C-level call."""
+    pick = itemgetter(*images)
+    if len(images) == 1:
+        # itemgetter with a single index returns the item, not a 1-tuple
+        return lambda q: (pick(q),)
+    return pick
+
+
+def _phi_in_aut(graph: Graph, images: list[Permutation]) -> bool:
+    """True iff every image is an automorphism of ``graph``."""
+    return all(img.degree == graph.n and is_automorphism(graph, img) for img in images)
+
+
+def _homomorphism_pairs(
+    elements: list[Permutation], images: list[Permutation], action: Action
+) -> tuple[bool, int]:
+    """Check phi(g * h) == phi(g) * phi(h) over every ordered pair of
+    ``elements``, where ``images[i]`` is phi(elements[i]).
+
+    Pairs run with g in the outer loop and h in the inner one, both in
+    the order of ``elements``.  The scan stops at the first failing pair
+    and returns ``(False, k)``, k being that pair's 1-based position in
+    this order; otherwise it returns ``(True, len(elements) ** 2)``.  A
+    pair whose two images differ in degree fails.  phi of a product
+    outside ``elements`` is computed by ``action`` once per call.
+    """
+    table = [(g.images, img.images) for g, img in zip(elements, images)]
+    phi = dict(table)
+    n = len(table)
+    # An image of another degree than phi(elements[0]) fails its pair in
+    # the first row, so the scan ends there; earlier first-row pairs, all
+    # of one degree, may still fail first.
+    degree = len(table[0][1])
+    cut = next((j for j, (_, img) in enumerate(table) if len(img) != degree), None)
+    rows, columns = (table, table) if cut is None else (table[:1], table[:cut])
+    for i, (g, phi_g) in enumerate(rows):
+        g_times, phi_g_times = _composer(g), _composer(phi_g)
+        for j, (h, phi_h) in enumerate(columns):
+            gh = g_times(h)
+            try:
+                lhs = phi[gh]
+            except KeyError:
+                lhs = phi[gh] = action(Permutation(gh)).images
+            if lhs != phi_g_times(phi_h):
+                return False, i * n + j + 1
+    if cut is not None:
+        return False, cut + 1
+    return True, n * n
+
+
+def _kernel_trivial(elements: list[Permutation], images: list[Permutation]) -> bool:
+    """True iff no element but the identity has the degree-10 identity as
+    its image (``images[i]`` is phi(elements[i]))."""
+    ident10 = tuple(range(10))
+    return all(g.is_identity() for g, img in zip(elements, images) if img.images == ident10)
+
+
 def check_homomorphism(
     mode: str = "all-pairs",
     generators: Optional[Iterable[Permutation]] = None,
@@ -92,7 +152,10 @@ def check_homomorphism(
 
     ``generators-only`` tests all pairs of words of length <= 3 in the
     generators; ``all-pairs`` tests every pair of the full generated
-    group (14,400 pairs for S5).
+    group (14,400 pairs for S5).  Pairs run with g outer and h inner, in
+    enumeration order; the result is ``(True, pairs checked)``, or
+    ``(False, position of the first failing pair)``.  A pair whose images
+    differ in degree fails.
     """
     gens = list(generators) if generators is not None else list(s5_generators())
     if mode == "generators-only":
@@ -101,28 +164,14 @@ def check_homomorphism(
         elements = closure(gens, cap=S5_ORDER)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    acted = {g: action(g) for g in elements}
-    pairs = 0
-    for g in elements:
-        for h in elements:
-            pairs += 1
-            gh = g * h
-            lhs = acted.get(gh)
-            if lhs is None:
-                lhs = action(gh)
-            if lhs != acted[g] * acted[h]:
-                return False, pairs
-    return True, pairs
+    return _homomorphism_pairs(elements, [action(g) for g in elements], action)
 
 
 def check_kernel_trivial(action: Action = induced_action) -> bool:
     """True iff the identity of S5 is the only element acting trivially,
     checked exhaustively over all 120 elements."""
-    ident10 = Permutation.identity(10)
-    for g in closure(list(s5_generators()), cap=S5_ORDER):
-        if action(g) == ident10 and not g.is_identity():
-            return False
-    return True
+    elements = closure(list(s5_generators()), cap=S5_ORDER)
+    return _kernel_trivial(elements, [action(g) for g in elements])
 
 
 @dataclass
@@ -141,17 +190,7 @@ class VerificationReport:
     timings: dict[str, float]
 
     def to_dict(self) -> dict:
-        return {
-            "graph_stats": self.graph_stats,
-            "phi_generator_images": self.phi_generator_images,
-            "homomorphism_checked": self.homomorphism_checked,
-            "kernel_trivial": self.kernel_trivial,
-            "image_order": self.image_order,
-            "aut_order_search": self.aut_order_search,
-            "aut_order_brute": self.aut_order_brute,
-            "verdict": self.verdict,
-            "timings": self.timings,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
@@ -180,33 +219,33 @@ def verify_petersen(
     }
     timings["build_graph"] = time.perf_counter() - t0
 
+    t0 = time.perf_counter()
     s, t = s5_generators()
+    elements = closure([s, t], cap=S5_ORDER)
+    images = [action(e) for e in elements]
+    all_automorphisms = _phi_in_aut(g, images)
+    timings["phi_automorphisms"] = time.perf_counter() - t0
+
+    phi = dict(zip(elements, images))
     phi_images = {
-        s.cycle_string(): action(s).cycle_string(),
-        t.cycle_string(): action(t).cycle_string(),
+        s.cycle_string(): phi[s].cycle_string(),
+        t.cycle_string(): phi[t].cycle_string(),
     }
 
     t0 = time.perf_counter()
-    elements = closure([s, t], cap=S5_ORDER)
-    acted = {e: action(e) for e in elements}
-    all_automorphisms = all(
-        img.degree == g.n and is_automorphism(g, img) for img in acted.values()
-    )
-    timings["phi_automorphisms"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    hom_ok, pairs = check_homomorphism("all-pairs", action=action)
+    hom_ok, pairs = _homomorphism_pairs(elements, images, action)
     timings["homomorphism"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    kernel_ok = check_kernel_trivial(action=action)
+    kernel_ok = _kernel_trivial(elements, images)
     timings["kernel"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     try:
-        image_order = len(closure([acted[s], acted[t]], cap=1000))
-    except CapacityError:
-        # corrupted actions can generate something huge; 0 means "not 120"
+        image_order = len(closure([phi[s], phi[t]], cap=1000))
+    except (CapacityError, ValueError):
+        # corrupted actions can generate something huge (CapacityError) or
+        # mix image degrees (ValueError); 0 means "not 120"
         image_order = 0
     timings["image_order"] = time.perf_counter() - t0
 

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+import autkit.verify
+import reference_verify
 from autkit import (
     Graph,
     Permutation,
@@ -140,12 +142,151 @@ def test_homomorphism_unknown_mode():
         check_homomorphism("everything")
 
 
+def test_homomorphism_degree_one_images():
+    # itemgetter over one index returns an item, not a 1-tuple
+    trivial = lambda p: Permutation.identity(1)  # noqa: E731
+    assert check_homomorphism("all-pairs", action=trivial) == (True, 14400)
+    assert check_homomorphism(
+        "all-pairs", generators=[Permutation.identity(1)], action=lambda p: p
+    ) == (True, 1)
+
+
+def truncated_transposition_image(p):
+    # phi((1 2)) fixes vertex 10, so dropping it leaves a degree-9 permutation
+    img = induced_action(p)
+    if p == Permutation.from_cycles(5, [[1, 2]]):
+        return Permutation(img.images[:9])
+    return img
+
+
+def test_homomorphism_mixed_degree_images_fail():
+    # (1 2) is the second element in both enumerations, so the first pair
+    # pairing a degree-10 image with the degree-9 one is (identity, (1 2))
+    for mode in ("all-pairs", "generators-only"):
+        assert check_homomorphism(mode, action=truncated_transposition_image) == (False, 2)
+    degree_one = lambda p: Permutation.identity(1) if p.images == (1, 0, 2, 3, 4) else p  # noqa: E731
+    assert check_homomorphism("all-pairs", action=degree_one) == (False, 2)
+
+
+def test_homomorphism_mixed_degrees_report_an_earlier_failure():
+    # phi(identity) is not the identity, so pair 1 fails before any pair
+    # of mixed degree is reached
+    shift = Permutation.from_cycles(10, [[1, 2]])
+
+    def shifted(p):
+        img = induced_action(p) * shift
+        # both factors fix vertex 10 for p = (1 2)
+        return Permutation(img.images[:9]) if p.images == (1, 0, 2, 3, 4) else img
+
+    assert check_homomorphism("all-pairs", action=shifted) == (False, 1)
+
+
+def test_verify_petersen_mixed_degree_images_falsified():
+    report = verify_petersen(action=truncated_transposition_image)
+    assert report.verdict == "FALSIFIED"
+    assert report.homomorphism_checked == 2
+    assert report.image_order == 0
+    assert report.phi_generator_images["(1 2)"] == PHI_IMAGES["(1 2)"]
+
+
 def test_kernel_trivial():
     assert check_kernel_trivial()
 
 
 def test_kernel_of_trivial_action_is_everything():
     assert not check_kernel_trivial(action=lambda g: Permutation.identity(10))
+
+
+def test_kernel_is_measured_against_the_degree_10_identity():
+    # phi(identity) is not the identity here, so no element acts trivially
+    for image in (Permutation.from_cycles(10, [[1, 2]]), Permutation.identity(9)):
+        constant = lambda g, image=image: image  # noqa: E731
+        assert check_kernel_trivial(action=constant)
+        assert reference_verify.check_kernel_trivial(action=constant)
+
+
+# ------------------------------------------ differential against the oracle
+
+
+def assert_matches_reference(mode, generators, action):
+    """Same ``(ok, pairs)`` as the Permutation-product oracle; where the
+    oracle meets a pair of mixed degree and raises, the fast path must
+    report a failure instead.  Returns the fast path's result."""
+    result = check_homomorphism(mode, generators, action)
+    try:
+        expected = reference_verify.check_homomorphism(mode, generators, action)
+    except ValueError:
+        assert result[0] is False
+    else:
+        assert result == expected
+    return result
+
+
+def test_checks_match_reference_true_and_corrupted_actions():
+    for action in (induced_action, corrupt_transposition_image):
+        for mode in ("all-pairs", "generators-only"):
+            assert_matches_reference(mode, None, action)
+        assert check_kernel_trivial(action) == reference_verify.check_kernel_trivial(action)
+    assert check_homomorphism("all-pairs", action=corrupt_transposition_image) == (False, 123)
+
+
+def test_checks_match_reference_seeded_corruptions():
+    rng = random.Random(4)
+    group = s5_elements()
+    true_images = [induced_action(g) for g in group]
+    failed = passed = 0
+    for case in range(200):
+        kind = ("swap", "replace", "replace", "kernel", "degree")[case % 5]
+        idx = rng.randrange(len(group))
+        target, img = group[idx], true_images[idx]
+        if kind == "swap":
+            images = list(img.images)
+            a, b = rng.sample(range(10), 2)
+            images[a], images[b] = images[b], images[a]
+            replacement = Permutation(images)
+        elif kind == "replace":
+            # another element of the image group: phi still lands in Aut
+            replacement = rng.choice([h for h in true_images if h != img])
+        elif kind == "kernel":
+            replacement = Permutation.identity(10)
+        else:
+            replacement = Permutation.identity(rng.choice([1, 9, 11]))
+        corrupted = {target: replacement}
+
+        def action(p, corrupted=corrupted):
+            return corrupted.get(p) or induced_action(p)
+
+        generators = None if rng.random() < 0.25 else rng.sample(group, rng.randint(1, 3))
+        mode = ("all-pairs", "generators-only")[case % 2]
+        ok, _ = assert_matches_reference(mode, generators, action)
+        assert check_kernel_trivial(action) == reference_verify.check_kernel_trivial(action)
+        failed += not ok
+        passed += ok
+    # both outcomes occur, so the comparison is not vacuous either way
+    assert failed > 50 and passed > 20
+
+
+def test_verify_petersen_enumerates_s5_once(monkeypatch):
+    closure_degrees = []
+    real_closure = autkit.verify.closure
+
+    def counting_closure(gens, cap):
+        closure_degrees.append(gens[0].degree)
+        return real_closure(gens, cap)
+
+    actions = []
+
+    def counting_action(p):
+        actions.append(p)
+        return induced_action(p)
+
+    monkeypatch.setattr(autkit.verify, "closure", counting_closure)
+    report = verify_petersen(run_brute=True, action=counting_action)
+    assert report.verdict == "VERIFIED"
+    assert report.homomorphism_checked == 14400
+    assert closure_degrees.count(5) == 1
+    assert len(actions) == 120
+    assert len(set(actions)) == 120
 
 
 # ------------------------------------------------------------- pipeline
