@@ -8,6 +8,7 @@ Points are 0-based internally; cycle notation at the text boundary is
 from __future__ import annotations
 
 import math
+import operator
 import re
 from typing import Iterable, Sequence
 
@@ -35,6 +36,13 @@ class Permutation:
 
     def __init__(self, images: Iterable[int]) -> None:
         imgs = tuple(images)
+        try:
+            # operator.index admits int, bool and numpy integers and returns an
+            # exact int; a float such as 1.0 would pass the sorted() check below
+            imgs = tuple(map(operator.index, imgs))
+        except TypeError:
+            bad = next((x for x in imgs if not hasattr(type(x), "__index__")), imgs)
+            raise ValueError(f"image {bad!r} is not an integer") from None
         if not imgs:
             raise ValueError("permutation degree must be at least 1")
         if sorted(imgs) != list(range(len(imgs))):
@@ -105,13 +113,11 @@ class Permutation:
             return NotImplemented
         if other.degree != self.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-        return Permutation(other._images[i] for i in self._images)
+        b = other._images
+        return _trusted(tuple([b[i] for i in self._images]))
 
     def inverse(self) -> Permutation:
-        inv = [0] * len(self._images)
-        for i, v in enumerate(self._images):
-            inv[v] = i
-        return Permutation(inv)
+        return _trusted(_invert(self._images))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial 0-based cycles, each starting at its smallest point,
@@ -150,6 +156,22 @@ class Permutation:
         return self.cycle_string()
 
 
+def _trusted(images: tuple[int, ...]) -> Permutation:
+    """Wrap images already known to be a bijection of int, skipping the
+    checks of ``Permutation.__init__``; only for results computed from
+    validated permutations."""
+    p = object.__new__(Permutation)
+    p._images = images
+    return p
+
+
+def _invert(images: Sequence[int]) -> tuple[int, ...]:
+    inv = [0] * len(images)
+    for i, v in enumerate(images):
+        inv[v] = i
+    return tuple(inv)
+
+
 def _validated(generators: Iterable[Permutation]) -> tuple[list[Permutation], int]:
     gens = list(generators)
     if not gens:
@@ -159,6 +181,21 @@ def _validated(generators: Iterable[Permutation]) -> tuple[list[Permutation], in
         if g.degree != n:
             raise ValueError("generators have inconsistent degrees")
     return gens, n
+
+
+def _orbit_words(gens: Sequence[tuple[int, ...]], point: int, n: int) -> dict[int, tuple[int, ...]]:
+    """Breadth-first orbit of ``point`` as image tuples: ``words[x]`` is the
+    product of generators, in discovery order, carrying ``point`` to ``x``."""
+    words = {point: tuple(range(n))}
+    queue = [point]
+    for x in queue:
+        w = words[x]
+        for g in gens:
+            y = g[x]
+            if y not in words:
+                words[y] = tuple([g[k] for k in w])
+                queue.append(y)
+    return words
 
 
 def orbit(generators: Iterable[Permutation], point: int) -> tuple[set[int], dict[int, Permutation]]:
@@ -171,14 +208,8 @@ def orbit(generators: Iterable[Permutation], point: int) -> tuple[set[int], dict
     gens, n = _validated(generators)
     if not 0 <= point < n:
         raise ValueError(f"point {point} outside 0..{n - 1}")
-    transversal = {point: Permutation.identity(n)}
-    queue = [point]
-    for x in queue:
-        for g in gens:
-            y = g(x)
-            if y not in transversal:
-                transversal[y] = transversal[x] * g
-                queue.append(y)
+    words = _orbit_words([g.images for g in gens], point, n)
+    transversal = {x: _trusted(w) for x, w in words.items()}
     return set(transversal), transversal
 
 
@@ -237,27 +268,34 @@ def schreier_sims(generators: Iterable[Permutation]) -> BSGS:
     Base points are chosen greedily per level as the smallest point moved
     by some generator at that level.  Pass ``[Permutation.identity(n)]``
     for the trivial group; an empty generator list is an error.
+
+    Works on image tuples throughout: each transversal element is inverted
+    once, right after its orbit is built, and ``Permutation`` objects are
+    made only for the returned ``BSGS``.
     """
     gens, n = _validated(generators)
-    strong: list[Permutation] = []
+    ident = tuple(range(n))
+    strong: list[tuple[int, ...]] = []
     for g in gens:
-        if not g.is_identity() and g not in strong:
-            strong.append(g)
+        if g.images != ident and g.images not in strong:
+            strong.append(g.images)
     if not strong:
         return BSGS(n, (), (), ())
 
     base: list[int] = []
-    transversals: list[dict[int, Permutation]] = []
+    transversals: list[dict[int, tuple[int, ...]]] = []
+    inverses: list[dict[int, tuple[int, ...]]] = []
 
-    def level_gens(i: int) -> list[Permutation]:
-        return [s for s in strong if all(s(b) == b for b in base[:i])]
+    def level_gens(i: int) -> list[tuple[int, ...]]:
+        return [s for s in strong if all(s[b] == b for b in base[:i])]
 
     def extend_base(i: int) -> None:
         # smallest point moved by some generator that still fixes base[:i]
         pool = level_gens(i)
-        point = min(x for g in pool for x in range(n) if g(x) != x)
+        point = min(x for g in pool for x in range(n) if g[x] != x)
         base.append(point)
         transversals.append({})
+        inverses.append({})
 
     while True:
         pool = level_gens(len(base))
@@ -265,30 +303,33 @@ def schreier_sims(generators: Iterable[Permutation]) -> BSGS:
             break
         extend_base(len(base))
 
-    def sift_from(p: Permutation, start: int) -> tuple[Permutation, int]:
-        h = p
+    def sift_from(h: tuple[int, ...], start: int) -> tuple[tuple[int, ...], int]:
         for i in range(start, len(base)):
-            x = h(base[i])
+            x = h[base[i]]
             if x == base[i]:
                 continue
             if x not in transversals[i]:
                 return h, i
-            h = h * transversals[i][x].inverse()
+            u = inverses[i][x]
+            h = tuple([u[k] for k in h])
         return h, len(base)
 
     i = len(base) - 1
     while i >= 0:
         gens_i = level_gens(i)
-        _, transversals[i] = orbit(gens_i, base[i])
+        trans = transversals[i] = _orbit_words(gens_i, base[i], n)
+        inv = inverses[i] = {x: _invert(t) for x, t in trans.items()}
         restart = None
-        for x in sorted(transversals[i]):
-            tx = transversals[i][x]
+        for x in sorted(trans):
+            tx = trans[x]
             for s in gens_i:
-                schreier = tx * s * transversals[i][s(x)].inverse()
-                if schreier.is_identity():
+                # t_x * s * t_{s(x)}^-1, applied left to right
+                u = inv[s[x]]
+                schreier = tuple([u[s[k]] for k in tx])
+                if schreier == ident:
                     continue
                 residue, j = sift_from(schreier, i + 1)
-                if residue.is_identity():
+                if residue == ident:
                     continue
                 strong.append(residue)
                 if j == len(base):
@@ -302,7 +343,12 @@ def schreier_sims(generators: Iterable[Permutation]) -> BSGS:
         else:
             i -= 1
 
-    return BSGS(n, base, strong, transversals)
+    return BSGS(
+        n,
+        base,
+        [_trusted(s) for s in strong],
+        [{x: _trusted(t) for x, t in trans.items()} for trans in transversals],
+    )
 
 
 def closure(generators: Iterable[Permutation], cap: int) -> list[Permutation]:

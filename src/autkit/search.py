@@ -20,7 +20,8 @@ __all__ = [
     "brute_force_automorphisms",
 ]
 
-#: hard cap for the exhaustive automorphism scan (10! = 3,628,800 candidates)
+#: hard cap for the exhaustive automorphism scan: a scan over the 10! vertex
+#: maps that abandons a partial map as soon as it breaks adjacency
 BRUTE_FORCE_MAX_VERTICES = 10
 
 
@@ -297,9 +298,9 @@ def are_isomorphic(g1: Graph, g2: Graph) -> Optional[Permutation]:
 def brute_force_automorphisms(g: Graph) -> list[Permutation]:
     """Every automorphism of g, in lexicographic order of image arrays.
 
-    Tests all g.n! vertex permutations; a partial mapping is abandoned as
-    soon as it violates adjacency, which cannot lose solutions.  Guarded
-    at 10 vertices (10! = 3,628,800 candidates).
+    A scan over the g.n! vertex maps that abandons a partial map as soon
+    as it breaks adjacency, which cannot lose solutions, so it never lists
+    the candidates one by one.  Guarded at 10 vertices (10! maps).
     """
     if g.n > BRUTE_FORCE_MAX_VERTICES:
         raise CapacityError(f"brute force is capped at {BRUTE_FORCE_MAX_VERTICES} vertices")

@@ -4,8 +4,22 @@ import random
 
 import pytest
 
-from autkit import BSGS, CapacityError, Permutation, closure, orbit, schreier_sims
+from autkit import (
+    BSGS,
+    CapacityError,
+    Graph,
+    Permutation,
+    automorphism_group,
+    closure,
+    johnson_general,
+    kneser,
+    orbit,
+    petersen_subsets,
+    schreier_sims,
+)
 from autkit.verify import induced_action, s5_generators
+
+import reference_perms
 
 P = Permutation
 
@@ -43,6 +57,44 @@ def test_non_bijection_rejected():
         P((1, 2, 3))
 
 
+class Index:
+    """An integer-like object that is not an int, as numpy integers are."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize("images", [[1.0, 0.0], [0, 1.5], [0, "1"], [None], [0, 1, 2.0]])
+def test_non_integer_images_rejected(images):
+    # 1.0 == 1 passes a sorted() bijection check, but cycle_string() then
+    # indexes a tuple with a float
+    with pytest.raises(ValueError, match="is not an integer"):
+        P(images)
+
+
+def test_integer_like_images_are_stored_as_int():
+    for images, expected in (([True, False], (1, 0)), ([Index(1), Index(2), Index(0)], (1, 2, 0))):
+        p = P(images)
+        assert p.images == expected
+        assert all(type(x) is int for x in p.images)
+    assert P([True, False]).cycle_string() == "(1 2)"
+    assert P([Index(1), Index(0)]) == P.from_cycles(2, [[1, 2]])
+
+
+def test_numpy_integer_images_are_stored_as_int():
+    np = pytest.importorskip("numpy")
+    p = P(np.array([2, 0, 1], dtype=np.int64))
+    assert p.images == (2, 0, 1)
+    assert all(type(x) is int for x in p.images)
+    assert p.cycle_string() == "(1 3 2)"
+    assert hash(p) == hash(P([2, 0, 1]))
+    with pytest.raises(ValueError, match="is not an integer"):
+        P(np.array([1.0, 0.0]))
+
+
 def test_compose_with_identity():
     rng = random.Random(1)
     for _ in range(20):
@@ -61,8 +113,10 @@ def test_compose_left_to_right():
 
 
 def test_compose_degree_mismatch():
-    with pytest.raises(ValueError):
-        P.identity(3) * P.identity(4)
+    # products skip the bijection check but keep the degree check
+    for a, b in ((3, 4), (4, 3), (1, 2), (12, 9)):
+        with pytest.raises(ValueError, match="degree mismatch"):
+            P.identity(a) * P.identity(b)
 
 
 def test_inverse_examples():
@@ -86,6 +140,26 @@ def test_group_axioms_random_triples():
         n = rng.randint(1, 12)
         a, b, c = (random_perm(rng, n) for _ in range(3))
         assert (a * b) * c == a * (b * c)
+
+
+def test_trusted_products_and_inverses_equal_validated_ones():
+    # __mul__ and inverse skip the bijection check; their results must be
+    # indistinguishable from the validated Permutation of the same images
+    rng = random.Random(6)
+    for _ in range(1000):
+        n = rng.randint(1, 12)
+        p, q = random_perm(rng, n), random_perm(rng, n)
+        for result, images in (
+            (p * q, [q(p(x)) for x in range(n)]),
+            (p.inverse(), sorted(range(n), key=p)),
+        ):
+            validated = P(images)
+            assert type(result) is P
+            assert result == validated and validated == result
+            assert hash(result) == hash(validated)
+            assert result.images == validated.images
+            assert all(type(x) is int for x in result.images)
+        assert (p * q).inverse() == q.inverse() * p.inverse()
 
 
 # ---------------------------------------------------------------- cycles
@@ -167,6 +241,19 @@ def test_orbit_transversal_correctness_random():
             assert trans[x](point) == x
 
 
+def test_orbit_matches_reference_random():
+    rng = random.Random(8)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        gens = random_generator_set(rng, n)
+        point = rng.randrange(n)
+        pts, trans = orbit(gens, point)
+        ref_pts, ref_trans = reference_perms.orbit(gens, point)
+        assert pts == ref_pts
+        assert list(trans) == list(ref_trans)
+        assert {x: w.images for x, w in trans.items()} == {x: w.images for x, w in ref_trans.items()}
+
+
 def test_orbit_point_out_of_range():
     with pytest.raises(ValueError):
         orbit([P.identity(4)], 4)
@@ -208,6 +295,69 @@ def test_membership_agrees_with_closure(name):
     non_members = [P(im) for im in itertools.permutations(range(n)) if P(im) not in members]
     for p in non_members[:100]:
         assert not group.contains(p)
+
+
+def random_generator_set(rng, n):
+    """1-4 generators of degree n mixing random permutations, the identity,
+    transpositions, permutations moving only a few points, and repeats."""
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.randrange(5)
+        if kind == 0:
+            gens.append(P.identity(n))
+        elif kind == 1 and n >= 2:
+            a, b = rng.sample(range(1, n + 1), 2)
+            gens.append(P.from_cycles(n, [[a, b]]))
+        elif kind == 2:
+            support = rng.sample(range(n), rng.randint(1, n))
+            images = list(range(n))
+            shuffled = support[:]
+            rng.shuffle(shuffled)
+            for src, dst in zip(support, shuffled):
+                images[src] = dst
+            gens.append(P(images))
+        elif kind == 3 and gens:
+            gens.append(rng.choice(gens))
+        else:
+            gens.append(random_perm(rng, n))
+    return gens
+
+
+def assert_same_bsgs(gens):
+    group = schreier_sims(gens)
+    ref = reference_perms.schreier_sims(gens)
+    assert group.degree == ref.degree
+    assert group.base == ref.base
+    assert [s.images for s in group.strong_generators] == [s.images for s in ref.strong_generators]
+    assert len(group.transversals) == len(ref.transversals)
+    for trans, ref_trans in zip(group.transversals, ref.transversals):
+        assert list(trans) == list(ref_trans)
+        assert {x: w.images for x, w in trans.items()} == {x: w.images for x, w in ref_trans.items()}
+    return group
+
+
+def test_schreier_sims_matches_reference_random():
+    rng = random.Random(9)
+    orders = set()
+    for _ in range(500):
+        n = rng.randint(1, 12)
+        gens = random_generator_set(rng, n)
+        orders.add(assert_same_bsgs(gens).order())
+    # the sets reach trivial, small and large groups alike
+    assert 1 in orders and 2 in orders and max(orders) >= math.factorial(10)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [petersen_subsets(), kneser(6, 2), johnson_general(6, 2, 1), Graph(7, (0,) * 7), kneser(7, 3)],
+    ids=["petersen", "K(6,2)", "J(6,2,1)", "edgeless-7", "K(7,3)"],
+)
+def test_schreier_sims_matches_reference_on_search_generators(g):
+    # the search calls schreier_sims on each prefix of its generator list
+    gens = list(automorphism_group(g))
+    for k in range(1, len(gens) + 1):
+        group = assert_same_bsgs(gens[:k])
+    assert group.order() == {10: 120, 15: 720, 7: 5040, 35: 5040}[g.n]
 
 
 def test_schreier_sims_single_cycle():
