@@ -1,5 +1,8 @@
+import contextlib
+import signal
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import settings
@@ -10,6 +13,38 @@ from autkit import Graph, petersen_subsets
 # checks the same cases and a slow machine cannot fail a property test.
 settings.register_profile("autkit", derandomize=True, deadline=None, database=None)
 settings.load_profile("autkit")
+
+#: per-test wall-clock limit; the slowest test takes about 2.5 s on a
+#: shared 2-core Xeon, so only a hang (a Schreier-Sims build that never
+#: stops adding strong generators, say) comes near it
+TEST_TIME_LIMIT_S = 60
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail the enclosed code through ``pytest.fail`` once it has run for
+    ``seconds`` of wall-clock time.  Uses SIGALRM, so it acts only on POSIX
+    in the main thread; elsewhere the code runs without a limit."""
+    if not hasattr(signal, "setitimer") or threading.current_thread() is not threading.main_thread():
+        yield
+        return
+
+    def expired(signum, frame):
+        pytest.fail(f"ran past its {seconds} s time limit", pytrace=False)
+
+    handler = signal.signal(signal.SIGALRM, expired)
+    timer = signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, *timer)
+        signal.signal(signal.SIGALRM, handler)
+
+
+@pytest.fixture(autouse=True)
+def per_test_time_limit():
+    with time_limit(TEST_TIME_LIMIT_S):
+        yield
 
 
 def graph_from_mask(n, mask):

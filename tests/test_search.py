@@ -17,6 +17,7 @@ from autkit import (
     closure,
     edge_count,
     graph6_decode,
+    graph6_encode,
     is_automorphism,
     johnson_general,
     kneser,
@@ -380,12 +381,83 @@ def test_pruned_search_matches_unpruned_random_6_to_8():
         assert_matches_unpruned(g)
 
 
+def hoffman_singleton():
+    """Robertson's construction: pentagons P_h (vertex 5h + j) and
+    pentagrams Q_i (vertex 25 + 5i + j), with j of P_h joined to
+    hi + j (mod 5) of Q_i.  50 vertices, 7-regular, |Aut| = 252,000."""
+    edges = []
+    for h in range(5):
+        for j in range(5):
+            edges.append((5 * h + j, 5 * h + (j + 1) % 5))
+            edges.append((25 + 5 * h + j, 25 + 5 * h + (j + 2) % 5))
+            for i in range(5):
+                edges.append((5 * h + j, 25 + 5 * i + (h * i + j) % 5))
+    return Graph.from_edges(50, edges)
+
+
+def paley(q):
+    """Paley graph on the integers mod a prime q = 1 (mod 4): u ~ v when
+    u - v is a nonzero square.  |Aut| = q(q - 1)/2."""
+    squares = {x * x % q for x in range(1, q)}
+    return Graph.from_edges(q, [(u, v) for u in range(q) for v in range(u + 1, q) if (v - u) % q in squares])
+
+
+def circulant(n, jumps):
+    return Graph.from_edges(n, [(i, (i + j) % n) for i in range(n) for j in jumps])
+
+
+def prism(k):
+    """The cycle C_k times an edge: rim i, spoke to k + i."""
+    rims = [(i, (i + 1) % k) for i in range(k)]
+    return Graph.from_edges(2 * k, rims + [(k + u, k + v) for u, v in rims] + [(i, k + i) for i in range(k)])
+
+
+def generalized_petersen(n, k):
+    """Outer cycle 0..n-1, spokes i ~ n + i, inner star n + i ~ n + (i + k) % n."""
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, n + i) for i in range(n)]
+    return Graph.from_edges(2 * n, edges + [(n + i, n + (i + k) % n) for i in range(n)])
+
+
 def test_pruned_search_matches_unpruned_symmetric():
     cube = Graph.from_edges(8, [(u, u ^ (1 << b)) for u in range(8) for b in range(3) if u < u ^ (1 << b)])
     two_k4 = Graph.from_edges(8, [(u, v) for u in range(8) for v in range(u + 1, 8) if u // 4 == v // 4])
     c8 = Graph.from_edges(8, [(i, (i + 1) % 8) for i in range(8)])
     for g in (cube, two_k4, c8, Graph(6, (0,) * 6), petersen_subsets()):
         assert_matches_unpruned(g)
+    # wider trees, where a leaf can leave the first path well above its parent
+    assert_matches_unpruned(generalized_petersen(8, 3))  # Moebius-Kantor, |Aut| = 96
+    for k in range(3, 9):
+        assert_matches_unpruned(prism(k))
+    for n, jumps in [
+        (9, (1, 2)), (10, (1, 3)), (11, (1, 2)), (12, (1, 4)), (12, (1, 5)), (13, (1, 5)),
+        (13, (1, 3, 4)), (14, (1, 4)), (15, (1, 4)), (16, (1, 2)), (16, (1, 7)),
+    ]:
+        assert_matches_unpruned(circulant(n, jumps))
+
+
+@pytest.mark.parametrize(
+    "g, leaves",
+    [
+        (hoffman_singleton(), 26),
+        (paley(61), 4),
+        (petersen_subsets(), 5),
+        (kneser(7, 3), 7),
+        (johnson_general(7, 3, 1), 8),
+    ],
+    ids=["hoffman-singleton", "paley-61", "petersen", "K(7,3)", "J(7,3,1)"],
+)
+def test_backjump_leaf_counts(g, leaves, monkeypatch):
+    visited = 0
+    leaf = search._IRSearch._leaf
+
+    def counting(self, cells, prefix):
+        nonlocal visited
+        visited += 1
+        return leaf(self, cells, prefix)
+
+    monkeypatch.setattr(search._IRSearch, "_leaf", counting)
+    search._IRSearch(g).run()
+    assert visited == leaves
 
 
 @pytest.mark.parametrize(
@@ -456,6 +528,60 @@ GOLDEN_CANON = {
 def test_canonical_form_golden(name):
     g, text = GOLDEN_CANON[name]
     assert canonical_form(g).text() == text
+
+
+# Pinned from the search before first-path backjumping; the wide groups
+# make these the largest trees in the suite, too large for the oracle.
+GOLDEN_BIG = {
+    "hoffman-singleton": (
+        hoffman_singleton(),
+        "(3 32)(4 35)(6 28)(7 8)(9 39)(10 18)(11 16)(12 20)(13 44)(14 22)(15 48)(17 49)(19 43)(21 29)"
+        "(23 38)(24 25)(27 47)(30 50)(33 34)(37 42)(40 45)(41 46)\n"
+        "(3 27)(4 30)(6 16)(7 48)(8 9)(10 34)(11 21)(12 43)(13 19)(14 18)(15 39)(17 38)(20 44)(22 33)"
+        "(23 24)(25 49)(28 29)(32 37)(35 40)(36 41)(42 47)(45 50)\n"
+        "(3 47)(4 50)(6 29)(7 19)(8 43)(9 10)(11 16)(12 34)(13 25)(14 38)(15 17)(18 39)(20 33)(21 28)"
+        "(22 23)(24 44)(27 32)(30 35)(31 36)(37 42)(40 45)(48 49)\n"
+        "(3 42)(4 45)(6 10)(7 49)(8 17)(9 38)(11 33)(12 20)(13 19)(14 29)(15 24)(16 34)(18 28)(21 22)"
+        "(23 39)(25 48)(26 31)(27 47)(30 50)(32 37)(35 40)(43 44)\n"
+        "(3 27)(4 29)(5 26)(6 50)(7 48)(8 15)(9 39)(10 18)(11 40)(12 38)(13 25)(14 34)(16 45)(17 43)"
+        "(19 49)(20 23)(21 35)(22 33)(24 44)(28 30)(32 47)(37 42)\n"
+        "(2 5)(3 4)(6 21)(7 25)(8 24)(9 23)(10 22)(11 16)(12 20)(13 19)(14 18)(15 17)(27 30)(28 29)"
+        "(32 35)(33 34)(37 40)(38 39)(42 45)(43 44)(47 50)(48 49)\n"
+        "(1 2)(3 5)(6 22)(7 21)(8 25)(9 24)(10 23)(11 17)(12 16)(13 20)(14 19)(15 18)(26 27)(28 30)"
+        "(31 32)(33 35)(36 37)(38 40)(41 42)(43 45)(46 47)(48 50)\n"
+        "order 252000\n",
+        "n=50:fe000000000001f800000000000fc00000000000fc00000000001f800000000007e00000000003f00000000003f"
+        "04104104100208041041020240110802208110042022100a00880a040804104104020104104024040408404091001042"
+        "808088801080410410008208220404080848100812102100420020440108080212021002810208120008080440402018"
+        "0421008008040088202000000",
+    ),
+    "paley-61": (
+        paley(61),
+        "(2 42 35 53 59 61 21 28 10 4)(3 22 8 44 56 60 41 55 19 7)(5 43 15 26 50 58 20 48 37 13)"
+        "(6 23 49 17 47 57 40 14 46 16)(9 24 29 51 38 54 39 34 12 25)(11 45 36 33 32 52 18 27 30 31)\n"
+        "(2 47 43 42 57 15 35 40 26 53 14 50 59 46 58 61 16 20 21 6 48 28 23 37 10 49 13 4 17 5)"
+        "(3 32 24 22 52 29 8 18 51 44 27 38 56 30 54 60 31 39 41 11 34 55 45 12 19 36 25 7 33 9)\n"
+        "(1 2)(3 61)(4 60)(5 59)(6 58)(7 57)(8 56)(9 55)(10 54)(11 53)(12 52)(13 51)(14 50)(15 49)(16 48)"
+        "(17 47)(18 46)(19 45)(20 44)(21 43)(22 42)(23 41)(24 40)(25 39)(26 38)(27 37)(28 36)(29 35)"
+        "(30 34)(31 33)\n"
+        "order 1830\n",
+        "n=61:fffffffc0000000fffc0007fff0001ac8eac144d639e2e26e90c31ca6e9d2618eed41475758c49aa8ebea40e291"
+        "d624df54868a4d76a826dc2d6158ec1fb09a5c54b7903e4729f416264f618b7503c86cdcb1e439ec133c53b06e19be43"
+        "66ee4edcc852dbb1af6624612d4197765323d1ac88b3f25d1138fad21da5071bbb30186d279dcdc28d43eeca0f53af11"
+        "e9ac39362e4d8f29a385d7691b69da4517dd15c4e965a3715d2f87444d9377478223d239f25aee33a2d4eda478f5ae60"
+        "c7adad41fba4d7a47b1b25ed155944f7961d46e548be2445e2d15f8d7a9cae69a1d95f871314380",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BIG))
+def test_aut_and_canon_golden_on_big_groups(name):
+    g, aut_text, canon_text = GOLDEN_BIG[name]
+    g6 = graph6_encode(g) + "\n"
+    aut = run_cli(["aut"], g6)
+    assert (aut.returncode, aut.stdout) == (0, aut_text)
+    canon = run_cli(["canon"], g6)
+    assert (canon.returncode, canon.stdout) == (0, canon_text + "\n")
 
 
 def test_iso_mapping_golden(tmp_path):
