@@ -1,15 +1,43 @@
 """Reference oracle for ``schreier_sims`` and ``orbit`` in ``autkit.perms``:
-the versions that multiply validated ``Permutation`` objects and invert a
-transversal element once per Schreier generator, kept independent of the
-image-tuple implementation so that differential tests can catch a bug in
-either.  Both must return the same base, strong generators (in order) and
-transversal words."""
+a from-scratch Schreier-Sims that multiplies validated ``Permutation``
+objects, re-filters the strong generators of every level on every pass and
+inverts a transversal element once per Schreier generator and per sift
+step.  It shares no code with the incremental image-tuple implementation,
+so differential tests of the group it builds (order and membership, not
+base or transversals) can catch a bug in either."""
 
 from __future__ import annotations
 
-from typing import Iterable
+import math
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
-from autkit import BSGS, Permutation
+from autkit import Permutation
+
+
+@dataclass(frozen=True)
+class BSGS:
+    """The reference's result: a base, strong generators and explicit
+    transversals, with order and membership by sifting."""
+
+    degree: int
+    base: Sequence[int]
+    strong_generators: Sequence[Permutation]
+    transversals: Sequence[dict[int, Permutation]]
+
+    def order(self) -> int:
+        return math.prod(len(t) for t in self.transversals)
+
+    def contains(self, p: Permutation) -> bool:
+        h = p
+        for b, trans in zip(self.base, self.transversals):
+            x = h(b)
+            if x == b:
+                continue
+            if x not in trans:
+                return False
+            h = h * trans[x].inverse()
+        return h.is_identity()
 
 
 def _validated(generators: Iterable[Permutation]) -> tuple[list[Permutation], int]:

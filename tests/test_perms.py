@@ -17,6 +17,7 @@ from autkit import (
     petersen_subsets,
     schreier_sims,
 )
+from autkit.search import _IRSearch
 from autkit.verify import induced_action, s5_generators
 
 import reference_perms
@@ -323,17 +324,46 @@ def random_generator_set(rng, n):
     return gens
 
 
-def assert_same_bsgs(gens):
-    group = schreier_sims(gens)
+def random_word(rng, gens, length):
+    word = P.identity(gens[0].degree)
+    for _ in range(length):
+        g = rng.choice(gens)
+        word = word * (g if rng.random() < 0.5 else g.inverse())
+    return word
+
+
+def assert_bsgs_invariants(group):
+    base, strong, transversals = group.base, group.strong_generators, group.transversals
+    assert len(set(base)) == len(base) == len(transversals)
+    for i, (b, trans) in enumerate(zip(base, transversals)):
+        # level i's strong generators are exactly those fixing base[:i],
+        # and its fundamental orbit is the orbit of base[i] under them
+        level = [s for s in strong if all(s(c) == c for c in base[:i])]
+        assert set(trans) == (orbit(level, b)[0] if level else {b})
+        for x, word in trans.items():
+            assert word(b) == x
+            assert all(word(c) == c for c in base[:i])
+    for s in strong:
+        assert any(s(b) != b for b in base)
+    assert group.order() == math.prod(len(t) for t in transversals)
+
+
+def assert_same_group(group, gens, rng):
+    """``group`` is a valid BSGS of the group the reference Schreier-Sims
+    builds from ``gens``: the same order and the same membership answers,
+    not the same base or transversals."""
     ref = reference_perms.schreier_sims(gens)
-    assert group.degree == ref.degree
-    assert group.base == ref.base
-    assert [s.images for s in group.strong_generators] == [s.images for s in ref.strong_generators]
-    assert len(group.transversals) == len(ref.transversals)
-    for trans, ref_trans in zip(group.transversals, ref.transversals):
-        assert list(trans) == list(ref_trans)
-        assert {x: w.images for x, w in trans.items()} == {x: w.images for x, w in ref_trans.items()}
-    return group
+    n = gens[0].degree
+    assert group.degree == n
+    assert group.order() == ref.order()
+    assert all(group.contains(g) for g in gens)
+    transposition = P.from_cycles(n, [rng.sample(range(1, n + 1), 2)]) if n > 1 else P.identity(1)
+    for _ in range(10):
+        word = random_word(rng, gens, rng.randint(0, 12))
+        assert group.contains(word)
+        for p in (random_perm(rng, n), word * transposition):
+            assert group.contains(p) == ref.contains(p)
+    assert_bsgs_invariants(group)
 
 
 def test_schreier_sims_matches_reference_random():
@@ -342,9 +372,66 @@ def test_schreier_sims_matches_reference_random():
     for _ in range(500):
         n = rng.randint(1, 12)
         gens = random_generator_set(rng, n)
-        orders.add(assert_same_bsgs(gens).order())
+        group = schreier_sims(gens)
+        assert_same_group(group, gens, rng)
+        orders.add(group.order())
     # the sets reach trivial, small and large groups alike
     assert 1 in orders and 2 in orders and max(orders) >= math.factorial(10)
+
+
+def test_prescribed_base_matches_reference_random():
+    rng = random.Random(10)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        gens = random_generator_set(rng, n)
+        base = rng.sample(range(n), rng.randint(0, n))
+        group = BSGS(n, base)
+        for g in gens:
+            group.extend(g)
+        assert group.base[:len(base)] == tuple(base)
+        assert_same_group(group, gens, rng)
+
+
+def test_extend_one_at_a_time_matches_schreier_sims_of_each_prefix():
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        gens = random_generator_set(rng, n)
+        group = BSGS(n)
+        for k, g in enumerate(gens):
+            before = schreier_sims(gens[:k]) if k else None
+            assert group.extend(g) is not (g.is_identity() or before is not None and before.contains(g))
+            fresh = schreier_sims(gens[:k + 1])
+            assert group.order() == fresh.order()
+            for p in [random_perm(rng, n), random_word(rng, gens[:k + 1], 6), *fresh.strong_generators]:
+                assert group.contains(p) == fresh.contains(p)
+            assert_same_group(group, gens[:k + 1], rng)
+
+
+def test_extend_by_a_member_changes_nothing():
+    _, gens = battery_generators("S4")
+    group = schreier_sims(gens)
+    fields = (group.base, group.strong_generators, group.transversals)
+    for p in closure(gens, 24):
+        assert group.extend(p) is False
+    assert (group.base, group.strong_generators, group.transversals) == fields
+
+
+def test_bsgs_rejects_bad_base_and_degree():
+    for base in ([4], [-1], [1, 1]):
+        with pytest.raises(ValueError):
+            BSGS(4, base)
+    with pytest.raises(ValueError):
+        BSGS(0)
+    with pytest.raises(ValueError, match="degree mismatch"):
+        BSGS(4).extend(P.identity(5))
+
+
+def test_prescribed_base_fixed_by_every_generator_opens_a_new_level():
+    group = BSGS(5, [0, 1])
+    assert group.extend(P.from_cycles(5, [[3, 5, 4]]))
+    assert group.base == (0, 1, 2)
+    assert [len(t) for t in group.transversals] == [1, 1, 3]
 
 
 @pytest.mark.parametrize(
@@ -353,11 +440,17 @@ def test_schreier_sims_matches_reference_random():
     ids=["petersen", "K(6,2)", "J(6,2,1)", "edgeless-7", "K(7,3)"],
 )
 def test_schreier_sims_matches_reference_on_search_generators(g):
-    # the search calls schreier_sims on each prefix of its generator list
-    gens = list(automorphism_group(g))
+    rng = random.Random(12)
+    search = _IRSearch(g)
+    gens = list(search.run()[0])
+    assert gens == list(automorphism_group(g))
     for k in range(1, len(gens) + 1):
-        group = assert_same_bsgs(gens[:k])
-    assert group.order() == {10: 120, 15: 720, 7: 5040, 35: 5040}[g.n]
+        assert_same_group(schreier_sims(gens[:k]), gens[:k], rng)
+    # the search's own BSGS, based on the first path
+    assert search.group.base == search.first_prefix
+    assert search.group.strong_generators == tuple(gens)
+    assert_same_group(search.group, gens, rng)
+    assert search.group.order() == {10: 120, 15: 720, 7: 5040, 35: 5040}[g.n]
 
 
 def test_schreier_sims_single_cycle():

@@ -460,6 +460,21 @@ def test_backjump_leaf_counts(g, leaves, monkeypatch):
     assert visited == leaves
 
 
+@pytest.mark.parametrize("g", [petersen_subsets(), kneser(7, 3)], ids=["petersen", "K(7,3)"])
+def test_leaf_adds_only_new_automorphisms(g):
+    # With backjumping every candidate the search meets is new, so feed
+    # _leaf the image of the first leaf under each generator found: its
+    # automorphism is already in the group and must not become a generator.
+    ir = search._IRSearch(g)
+    gens, _, _ = ir.run()
+    order = ir.first[0].inverse().images
+    for gamma in gens:
+        prefix = tuple(gamma(v) for v in ir.first_prefix)
+        jump = ir._leaf([(gamma(v),) for v in order], prefix)
+        assert ir.gens == list(gens)
+        assert prefix[:jump] == ir.first_prefix[:jump] and prefix[jump] != ir.first_prefix[jump]
+
+
 @pytest.mark.parametrize(
     "g, order",
     [
@@ -582,6 +597,14 @@ def test_aut_and_canon_golden_on_big_groups(name):
     assert (aut.returncode, aut.stdout) == (0, aut_text)
     canon = run_cli(["canon"], g6)
     assert (canon.returncode, canon.stdout) == (0, canon_text + "\n")
+
+
+def test_aut_golden_edgeless_40():
+    # Pinned from the search before the BSGS became incremental, where 39
+    # Schreier-Sims rebuilds took about 1 s of the 1.3 s run.
+    proc = run_cli(["aut"], graph6_encode(Graph(40, (0,) * 40)) + "\n")
+    expected = "".join(f"({k} {k + 1})\n" for k in range(39, 0, -1)) + f"order {math.factorial(40)}\n"
+    assert (proc.returncode, proc.stdout) == (0, expected)
 
 
 def test_iso_mapping_golden(tmp_path):
