@@ -194,40 +194,37 @@ def is_connected(g: Graph) -> bool:
     return len(_bfs_distances(g, 0)) == g.n
 
 
-def permute_graph(g: Graph, sigma: Permutation) -> Graph:
-    """Relabel g by sigma: {u, v} is an edge iff {sigma(u), sigma(v)} is."""
+def _relabeled_adj(g: Graph, sigma: Permutation) -> tuple[int, ...]:
+    """Adjacency of g relabelled by sigma: row sigma(u) holds the images
+    of u's neighbours."""
     if sigma.degree != g.n:
         raise ValueError(f"degree mismatch: permutation {sigma.degree} vs graph {g.n}")
+    images = sigma.images
     adj = [0] * g.n
-    for u in range(g.n):
-        su = sigma(u)
-        bits = g.adj[u]
+    for u, bits in enumerate(g.adj):
+        row = 0
         while bits:
             low = bits & -bits
-            adj[su] |= 1 << sigma(low.bit_length() - 1)
+            row |= 1 << images[low.bit_length() - 1]
             bits ^= low
+        adj[images[u]] = row
+    return tuple(adj)
+
+
+def permute_graph(g: Graph, sigma: Permutation) -> Graph:
+    """Relabel g by sigma: {u, v} is an edge iff {sigma(u), sigma(v)} is."""
+    adj = _relabeled_adj(g, sigma)
     labels = None
     if g.labels is not None:
         relocated = [""] * g.n
-        for u in range(g.n):
-            relocated[sigma(u)] = g.labels[u]
+        for target, label in zip(sigma.images, g.labels):
+            relocated[target] = label
         labels = tuple(relocated)
-    return Graph(g.n, tuple(adj), labels)
+    return Graph(g.n, adj, labels)
 
 
 def is_automorphism(g: Graph, sigma: Permutation) -> bool:
-    if sigma.degree != g.n:
-        raise ValueError(f"degree mismatch: permutation {sigma.degree} vs graph {g.n}")
-    for u in range(g.n):
-        target = 0
-        bits = g.adj[u]
-        while bits:
-            low = bits & -bits
-            target |= 1 << sigma(low.bit_length() - 1)
-            bits ^= low
-        if g.adj[sigma(u)] != target:
-            return False
-    return True
+    return _relabeled_adj(g, sigma) == g.adj
 
 
 def subsets(n: int, k: int) -> list[KSubset]:

@@ -183,34 +183,26 @@ def _validated(generators: Iterable[Permutation]) -> tuple[list[Permutation], in
     return gens, n
 
 
-def _orbit_words(gens: Sequence[tuple[int, ...]], point: int, n: int) -> dict[int, tuple[int, ...]]:
-    """Breadth-first orbit of ``point`` as image tuples: ``words[x]`` is the
-    product of generators, in discovery order, carrying ``point`` to ``x``."""
-    words = {point: tuple(range(n))}
-    queue = [point]
-    for x in queue:
-        w = words[x]
-        for g in gens:
-            y = g[x]
-            if y not in words:
-                words[y] = tuple([g[k] for k in w])
-                queue.append(y)
-    return words
-
-
-def orbit(generators: Iterable[Permutation], point: int) -> tuple[set[int], dict[int, Permutation]]:
-    """Orbit of ``point`` under the generated group, with a transversal.
-
-    Returns ``(orbit, transversal)`` where ``transversal[x]`` is a word in
-    the generators mapping ``point`` to ``x``.  Breadth-first and
-    deterministic for a fixed generator order.
+def orbit(generators: Iterable[Permutation], point: int) -> dict[int, Permutation]:
+    """Orbit of ``point`` under the generated group, as a transversal:
+    ``transversal[x]`` is a word in the generators mapping ``point`` to
+    ``x``, and the keys are the orbit in breadth-first order.
+    Deterministic for a fixed generator order.
     """
     gens, n = _validated(generators)
     if not 0 <= point < n:
         raise ValueError(f"point {point} outside 0..{n - 1}")
-    words = _orbit_words([g.images for g in gens], point, n)
-    transversal = {x: _trusted(w) for x, w in words.items()}
-    return set(transversal), transversal
+    images = [g.images for g in gens]
+    words = {point: tuple(range(n))}
+    queue = [point]
+    for x in queue:
+        w = words[x]
+        for g in images:
+            y = g[x]
+            if y not in words:
+                words[y] = tuple([g[k] for k in w])
+                queue.append(y)
+    return {x: _trusted(w) for x, w in words.items()}
 
 
 class BSGS:
@@ -401,8 +393,9 @@ def closure(generators: Iterable[Permutation], cap: int) -> list[Permutation]:
 
     Order is deterministic: word length first, then lexicographic images
     within a layer.  Raises :class:`CapacityError` if the group has more
-    than ``cap`` elements; this is the brute-force oracle the BSGS engine
-    is tested against, so it deliberately stays naive.
+    than ``cap`` elements.  It is the brute-force oracle the BSGS engine
+    is tested against, so it deliberately stays naive; ``verify_petersen``
+    also uses it to enumerate S5 and the image of phi.
     """
     gens, n = _validated(generators)
     if cap < 1:

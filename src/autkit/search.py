@@ -56,9 +56,6 @@ class OrderedPartition:
             raise ValueError("partition needs at least one vertex")
         return cls(tuple((v,) for v in range(n)))
 
-    def size(self) -> int:
-        return sum(len(cell) for cell in self.cells)
-
     def is_discrete(self) -> bool:
         return all(len(cell) == 1 for cell in self.cells)
 

@@ -252,6 +252,31 @@ def test_is_automorphism_equivalent_to_adjacency_equality():
         assert is_automorphism(g, sigma) == (permute_graph(g, sigma).adj == g.adj)
 
 
+def test_relabeling_matches_edge_set_oracle():
+    # the oracle reads only g.edges(), never the bitset rows that
+    # permute_graph and is_automorphism relabel
+    rng = random.Random(14)
+    automorphisms = 0
+    for case in range(300):
+        n = rng.randint(1, 9)
+        g = random_graph(rng, n, p=rng.choice([0.1, 0.5, 0.9]))
+        if case % 2:
+            g = Graph(g.n, g.adj, tuple(f"v{v}" for v in range(n)))
+        images = list(range(n))
+        rng.shuffle(images)
+        sigma = Permutation(images)
+        edges = set(g.edges())
+        moved = {(min(sigma(u), sigma(v)), max(sigma(u), sigma(v))) for u, v in edges}
+        h = permute_graph(g, sigma)
+        assert set(h.edges()) == moved
+        if g.labels is not None:
+            assert all(h.labels[sigma(v)] == g.labels[v] for v in range(n))
+        assert is_automorphism(g, sigma) == (moved == edges)
+        automorphisms += moved == edges
+    # both answers occur, so neither side of the equivalence is vacuous
+    assert 30 < automorphisms < 270
+
+
 def test_is_automorphism_examples(petersen):
     assert is_automorphism(petersen, Permutation.identity(10))
     assert is_automorphism(petersen, induced_action(Permutation.from_cycles(5, [[1, 2]])))

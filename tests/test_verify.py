@@ -98,7 +98,7 @@ def test_phi_respects_inverses():
 
 def test_phi_image_is_vertex_and_edge_transitive(petersen):
     gens = [induced_action(g) for g in s5_generators()]
-    vertices, _ = orbit(gens, 0)
+    vertices = orbit(gens, 0)
     assert len(vertices) == 10
     start = frozenset({0, 5})
     assert petersen.has_edge(0, 5)
@@ -117,38 +117,25 @@ def test_phi_image_is_vertex_and_edge_transitive(petersen):
 
 
 def test_homomorphism_all_pairs():
-    assert check_homomorphism("all-pairs") == (True, 14400)
-
-
-def test_homomorphism_generators_only():
-    ok, pairs = check_homomorphism("generators-only")
-    assert ok
-    assert pairs > 0
+    assert check_homomorphism() == (True, 14400)
 
 
 def test_homomorphism_trivial_generators():
-    ok, pairs = check_homomorphism("generators-only", generators=[Permutation.identity(5)])
+    ok, pairs = check_homomorphism(generators=[Permutation.identity(5)])
     assert ok
     assert pairs == 1
 
 
 def test_homomorphism_rejects_corrupted_action():
-    ok, _ = check_homomorphism("all-pairs", action=corrupt_transposition_image)
+    ok, _ = check_homomorphism(action=corrupt_transposition_image)
     assert not ok
-
-
-def test_homomorphism_unknown_mode():
-    with pytest.raises(ValueError):
-        check_homomorphism("everything")
 
 
 def test_homomorphism_degree_one_images():
     # itemgetter over one index returns an item, not a 1-tuple
     trivial = lambda p: Permutation.identity(1)  # noqa: E731
-    assert check_homomorphism("all-pairs", action=trivial) == (True, 14400)
-    assert check_homomorphism(
-        "all-pairs", generators=[Permutation.identity(1)], action=lambda p: p
-    ) == (True, 1)
+    assert check_homomorphism(action=trivial) == (True, 14400)
+    assert check_homomorphism(generators=[Permutation.identity(1)], action=lambda p: p) == (True, 1)
 
 
 def truncated_transposition_image(p):
@@ -160,12 +147,11 @@ def truncated_transposition_image(p):
 
 
 def test_homomorphism_mixed_degree_images_fail():
-    # (1 2) is the second element in both enumerations, so the first pair
+    # (1 2) is the second element of the enumeration, so the first pair
     # pairing a degree-10 image with the degree-9 one is (identity, (1 2))
-    for mode in ("all-pairs", "generators-only"):
-        assert check_homomorphism(mode, action=truncated_transposition_image) == (False, 2)
+    assert check_homomorphism(action=truncated_transposition_image) == (False, 2)
     degree_one = lambda p: Permutation.identity(1) if p.images == (1, 0, 2, 3, 4) else p  # noqa: E731
-    assert check_homomorphism("all-pairs", action=degree_one) == (False, 2)
+    assert check_homomorphism(action=degree_one) == (False, 2)
 
 
 def test_homomorphism_mixed_degrees_report_an_earlier_failure():
@@ -178,7 +164,7 @@ def test_homomorphism_mixed_degrees_report_an_earlier_failure():
         # both factors fix vertex 10 for p = (1 2)
         return Permutation(img.images[:9]) if p.images == (1, 0, 2, 3, 4) else img
 
-    assert check_homomorphism("all-pairs", action=shifted) == (False, 1)
+    assert check_homomorphism(action=shifted) == (False, 1)
 
 
 def test_verify_petersen_mixed_degree_images_falsified():
@@ -208,13 +194,13 @@ def test_kernel_is_measured_against_the_degree_10_identity():
 # ------------------------------------------ differential against the oracle
 
 
-def assert_matches_reference(mode, generators, action):
+def assert_matches_reference(generators, action):
     """Same ``(ok, pairs)`` as the Permutation-product oracle; where the
     oracle meets a pair of mixed degree and raises, the fast path must
     report a failure instead.  Returns the fast path's result."""
-    result = check_homomorphism(mode, generators, action)
+    result = check_homomorphism(generators, action)
     try:
-        expected = reference_verify.check_homomorphism(mode, generators, action)
+        expected = reference_verify.check_homomorphism("all-pairs", generators, action)
     except ValueError:
         assert result[0] is False
     else:
@@ -224,10 +210,9 @@ def assert_matches_reference(mode, generators, action):
 
 def test_checks_match_reference_true_and_corrupted_actions():
     for action in (induced_action, corrupt_transposition_image):
-        for mode in ("all-pairs", "generators-only"):
-            assert_matches_reference(mode, None, action)
+        assert_matches_reference(None, action)
         assert check_kernel_trivial(action) == reference_verify.check_kernel_trivial(action)
-    assert check_homomorphism("all-pairs", action=corrupt_transposition_image) == (False, 123)
+    assert check_homomorphism(action=corrupt_transposition_image) == (False, 123)
 
 
 def test_checks_match_reference_seeded_corruptions():
@@ -257,8 +242,7 @@ def test_checks_match_reference_seeded_corruptions():
             return corrupted.get(p) or induced_action(p)
 
         generators = None if rng.random() < 0.25 else rng.sample(group, rng.randint(1, 3))
-        mode = ("all-pairs", "generators-only")[case % 2]
-        ok, _ = assert_matches_reference(mode, generators, action)
+        ok, _ = assert_matches_reference(generators, action)
         assert check_kernel_trivial(action) == reference_verify.check_kernel_trivial(action)
         failed += not ok
         passed += ok
