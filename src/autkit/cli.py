@@ -83,6 +83,8 @@ def cmd_canon(args: argparse.Namespace) -> int:
 
 
 def cmd_iso(args: argparse.Namespace) -> int:
+    if args.input_a == args.input_b == "-":
+        raise ValueError("only one input can be stdin (-)")
     g1 = _read_graph(args.input_a)
     g2 = _read_graph(args.input_b)
     sigma = are_isomorphic(g1, g2)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graphs import Graph, edge_count, permute_graph
-from .perms import BSGS, CapacityError, Permutation
+from .perms import CapacityError, Permutation
 
 __all__ = [
     "OrderedPartition",
@@ -191,19 +191,15 @@ class _IRSearch:
     5,172 to 26, on Paley(61) from 33 to 4.  There is no invariant
     pruning.
 
-    The automorphisms found go into one BSGS per search, grown in place
-    with the first path as its base (McKay 1981).  Individualizing the
-    first leaf's vertices refines to a discrete partition, so only the
-    identity fixes them all: they are a base of Aut(g) and the BSGS never
-    adds a level.  An automorphism from a leaf whose path parts from the
-    first path at depth d fixes the first d of them.  Such depths come in
-    non-increasing order, so the shallower levels still have one-point
-    orbits and cost nothing; its residue enters at some level j >= d,
-    and the levels deeper than j stay as they are.  A candidate joins the
-    generators exactly when :meth:`BSGS.extend` finds it new, so the
-    generators are those of a rebuild per candidate.  On the edgeless
-    graph with 40 vertices this takes the search from about 0.94 s to
-    0.13 s (one Xeon core, CPython 3.11).
+    Every candidate automorphism is new, so all become generators and
+    the search keeps no group.  A candidate's leaf parts from the first
+    path at depth d, under a child v of the first-path node there.  The
+    generators found so far parted at depth d or deeper, so they fix the
+    first d path vertices, and the searched children of that node are a
+    union of their orbits.  Had the candidate, which maps the first
+    path's child to v, been in their group, v would have been skipped.
+    No generator comes from v's subtree before that leaf, since any match
+    there jumps straight back to depth d.
     """
 
     def __init__(self, g: Graph) -> None:
@@ -211,7 +207,6 @@ class _IRSearch:
             raise ValueError("graph must have at least one vertex")
         self.g = g
         self.gens: list[Permutation] = []
-        self.group: Optional[BSGS] = None
         self.first: Optional[tuple[Permutation, bytes]] = None
         self.first_prefix: tuple[int, ...] = ()
         self.best: Optional[tuple[Permutation, bytes]] = None
@@ -279,13 +274,10 @@ class _IRSearch:
         if self.first is None:
             self.first = (lab, cert)
             self.first_prefix = prefix
-            self.group = BSGS(self.g.n, prefix)
         elif cert == self.first[1]:
-            sigma = lab * self.first[0].inverse()
-            if self.group.extend(sigma):
-                self.gens.append(sigma)
-            # sigma maps the first path onto this leaf's path: resume at
-            # the node where the two paths part
+            self.gens.append(lab * self.first[0].inverse())
+            # the new generator maps the first path onto this leaf's path:
+            # resume at the node where the two paths part
             jump = 0
             while prefix[jump] == self.first_prefix[jump]:
                 jump += 1

@@ -16,9 +16,8 @@ import itertools
 
 import pytest
 
-from autkit import Graph, is_automorphism, petersen_subsets
+from autkit import Graph, automorphism_group, is_automorphism, petersen_subsets, schreier_sims
 from autkit import cli
-from autkit.search import _IRSearch
 
 
 def cfi(h, twisted=False):
@@ -88,10 +87,9 @@ def test_cfi_order_from_aut_command(name, monkeypatch, capsys):
 @pytest.mark.parametrize("name", sorted(BASES))
 def test_cfi_order_from_search_group(name):
     g = cfi(BASES[name][0])
-    search = _IRSearch(g)
-    gens, _, _ = search.run()
+    gens = automorphism_group(g)
     assert all(is_automorphism(g, gen) for gen in gens)
-    assert search.group.order() == expected_order(name)
+    assert schreier_sims(gens).order() == expected_order(name)
 
 
 @pytest.mark.parametrize("name", sorted(BASES))

@@ -139,6 +139,14 @@ def test_iso_non_isomorphic(tmp_path):
     assert proc.stdout.strip() == "non-isomorphic"
 
 
+def test_iso_rejects_stdin_for_both_inputs():
+    # stdin can be read once; the second read would see empty text
+    proc = run_cli(["iso", "-", "-"], stdin_text=graph6_encode(petersen_subsets()))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: only one input can be stdin (-)\n"
+
+
 def test_verify_petersen_summary_and_exit_code(tmp_path):
     report_path = tmp_path / "report.json"
     proc = run_cli(["verify-petersen", "--json", str(report_path)])

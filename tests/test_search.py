@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -29,8 +30,10 @@ from autkit import (
 )
 
 import autkit.search as search
+import reference_perms
 import reference_search
 from conftest import all_masks, graph_from_mask, random_graph, run_cli
+from test_cfi import BASES as CFI_BASES, cfi
 from unpruned_search import unpruned_search
 
 PETERSEN_CERT = "n=10:e0180c0d4a60"
@@ -460,19 +463,45 @@ def test_backjump_leaf_counts(g, leaves, monkeypatch):
     assert visited == leaves
 
 
-@pytest.mark.parametrize("g", [petersen_subsets(), kneser(7, 3)], ids=["petersen", "K(7,3)"])
-def test_leaf_adds_only_new_automorphisms(g):
-    # With backjumping every candidate the search meets is new, so feed
-    # _leaf the image of the first leaf under each generator found: its
-    # automorphism is already in the group and must not become a generator.
-    ir = search._IRSearch(g)
-    gens, _, _ = ir.run()
-    order = ir.first[0].inverse().images
-    for gamma in gens:
-        prefix = tuple(gamma(v) for v in ir.first_prefix)
-        jump = ir._leaf([(gamma(v),) for v in order], prefix)
-        assert ir.gens == list(gens)
-        assert prefix[:jump] == ir.first_prefix[:jump] and prefix[jump] != ir.first_prefix[jump]
+def assert_every_generator_is_new(g):
+    gens = automorphism_group(g)
+    if gens == (Permutation.identity(g.n),):
+        return  # a rigid graph's placeholder generator
+    for k, gen in enumerate(gens):
+        assert not gen.is_identity()
+        if k:
+            assert not reference_perms.schreier_sims(gens[:k]).contains(gen), (k, gen)
+
+
+EVERY_GENERATOR_IS_NEW = {
+    "petersen": petersen_subsets(),
+    "K(7,3)": kneser(7, 3),
+    "J(7,3,1)": johnson_general(7, 3, 1),
+    "hoffman-singleton": hoffman_singleton(),
+    "paley-61": paley(61),
+    "edgeless-12": Graph(12, (0,) * 12),
+    **{f"CFI({name})": cfi(h) for name, (h, _) in CFI_BASES.items()},
+    **{f"CFI({name}) twisted": cfi(h, twisted=True) for name, (h, _) in CFI_BASES.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVERY_GENERATOR_IS_NEW))
+def test_every_generator_is_new(name):
+    # With first-path backjumping no candidate automorphism lies in the
+    # group of the ones found before it, so the search keeps them all
+    # without a membership test; see the _IRSearch docstring.
+    assert_every_generator_is_new(EVERY_GENERATOR_IS_NEW[name])
+
+
+def test_every_generator_is_new_circulant_and_random():
+    for n in range(3, 17):
+        for jumps in itertools.chain.from_iterable(
+            itertools.combinations(range(1, n // 2 + 1), r) for r in (1, 2)
+        ):
+            assert_every_generator_is_new(circulant(n, jumps))
+    rng = random.Random(9)
+    for _ in range(300):
+        assert_every_generator_is_new(random_graph(rng, rng.randint(2, 12), rng.choice((0.2, 0.5, 0.8))))
 
 
 @pytest.mark.parametrize(

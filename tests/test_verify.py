@@ -10,6 +10,7 @@ from autkit import (
     Permutation,
     closure,
     is_automorphism,
+    kneser,
     orbit,
     petersen_subsets,
 )
@@ -298,6 +299,15 @@ def test_verify_petersen_with_brute():
     report = verify_petersen(run_brute=True)
     assert report.verdict == "VERIFIED"
     assert report.aut_order_brute == 120
+    assert "brute_force" in report.timings
+
+
+def test_verify_petersen_brute_on_a_graph_past_the_scan_cap():
+    # brute force is capped at 10 vertices; a larger probe graph is a
+    # failing check, not an exception
+    report = verify_petersen(run_brute=True, graph=kneser(6, 2))
+    assert report.aut_order_brute == 0
+    assert report.verdict == "FALSIFIED"
     assert "brute_force" in report.timings
 
 
