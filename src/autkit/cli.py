@@ -8,6 +8,7 @@ Exit codes: 0 success (or VERIFIED), 1 negative mathematical result
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional
 
@@ -44,16 +45,28 @@ def _emit(g: Graph, fmt: str) -> None:
         sys.stdout.write(to_dot(g))
 
 
+def _check_graph6_size(args: argparse.Namespace) -> None:
+    """Reject a subset family with more vertices than graph6 short form
+    holds before building it: C(18, 9) = 48,620 vertices would take
+    minutes to build only to be refused by ``graph6_encode``.  Invalid
+    parameters are left to the family's constructor and its message."""
+    valid = 0 <= args.k <= args.n and (args.t is None or 0 <= args.t < args.k)
+    if args.format == "graph6" and valid and math.comb(args.n, args.k) > 62:
+        raise ValueError("graph6 short form supports at most 62 vertices")
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
     family = args.family
     given = {flag for flag, value in (("-n", args.n), ("-k", args.k), ("-t", args.t)) if value is not None}
     if family == "johnson":
         if given != {"-n", "-k", "-t"}:
             raise ValueError("johnson requires -n, -k and -t")
+        _check_graph6_size(args)
         g = johnson_general(args.n, args.k, args.t)
     elif family == "kneser":
         if given != {"-n", "-k"}:
             raise ValueError("kneser requires -n and -k (and no -t)")
+        _check_graph6_size(args)
         g = kneser(args.n, args.k)
     elif family == "petersen-subsets":
         if given:

@@ -206,7 +206,7 @@ def orbit(generators: Iterable[Permutation], point: int) -> dict[int, Permutatio
 
 
 class BSGS:
-    """Base and strong generating set, grown in place by :meth:`extend`
+    """Base and strong generating set, built by :func:`schreier_sims`
     (incremental Schreier-Sims: Seress, *Permutation Group Algorithms*,
     2003, ch. 4; Butler, LNCS 559, 1991).
 
@@ -222,15 +222,14 @@ class BSGS:
     sifted through once stays a member, because the deeper groups only
     grow, so each pair is sifted once.
 
-    ``base`` may prescribe the first base points.  A level whose orbit is
-    still a single point costs nothing until a generator moves its point;
-    when a residue fixes every base point, a new level starts at the
-    smallest point the residue moves.
+    A level whose orbit is still a single point costs nothing until a
+    generator moves its point; when a residue fixes every base point, a
+    new level starts at the smallest point the residue moves.
     """
 
     __slots__ = ("degree", "_identity", "_base", "_gens", "_words", "_inverses", "_checked")
 
-    def __init__(self, degree: int, base: Sequence[int] = ()) -> None:
+    def __init__(self, degree: int) -> None:
         if degree < 1:
             raise ValueError("permutation degree must be at least 1")
         self.degree = degree
@@ -240,12 +239,6 @@ class BSGS:
         self._words: list[dict[int, tuple[int, ...]]] = []
         self._inverses: list[dict[int, tuple[int, ...]]] = []
         self._checked: list[dict[int, int]] = []
-        for point in base:
-            if not 0 <= point < degree:
-                raise ValueError(f"base point {point} outside 0..{degree - 1}")
-            if point in self._base:
-                raise ValueError(f"base point {point} repeated")
-            self._add_level(point)
 
     @property
     def base(self) -> tuple[int, ...]:
@@ -266,7 +259,8 @@ class BSGS:
 
     def sift(self, p: Permutation) -> Permutation:
         """Reduce ``p`` through the transversals; identity iff ``p`` is a member."""
-        self._check_degree(p)
+        if p.degree != self.degree:
+            raise ValueError(f"degree mismatch: {p.degree} vs {self.degree}")
         return _trusted(self._sift(p.images, 0)[0])
 
     def contains(self, p: Permutation) -> bool:
@@ -278,15 +272,14 @@ class BSGS:
     def __repr__(self) -> str:
         return f"BSGS(degree={self.degree}, base={list(self.base)}, order={self.order()})"
 
-    def extend(self, p: Permutation) -> bool:
-        """Add ``p`` to the group.  Returns False, changing nothing, when
-        ``p`` is already a member.  Otherwise its sifted residue becomes a
-        strong generator, and the Schreier condition is restored on the
-        levels the residue lies in, from the deepest one up."""
-        self._check_degree(p)
-        h, level = self._sift(p.images, 0)
+    def _extend(self, images: tuple[int, ...]) -> None:
+        """Add the permutation with these images to the group; a member
+        changes nothing.  Otherwise its sifted residue becomes a strong
+        generator, and the Schreier condition is restored on the levels
+        the residue lies in, from the deepest one up."""
+        h, level = self._sift(images, 0)
         if h == self._identity:
-            return False
+            return
         self._add_generator(h, level)
         while level >= 0:
             found = self._schreier_residue(level)
@@ -295,11 +288,6 @@ class BSGS:
             else:
                 h, level = found
                 self._add_generator(h, level)
-        return True
-
-    def _check_degree(self, p: Permutation) -> None:
-        if p.degree != self.degree:
-            raise ValueError(f"degree mismatch: {p.degree} vs {self.degree}")
 
     def _add_level(self, point: int) -> None:
         self._base.append(point)
@@ -372,19 +360,18 @@ def schreier_sims(generators: Iterable[Permutation]) -> BSGS:
     before it, then extended by each generator in turn.  A base chosen
     from all the generators keeps the strong generating set small: on the
     39 generators the search finds for the edgeless graph with 40
-    vertices, ``BSGS(n)`` extended by each would take 77 strong
+    vertices, extending by each from an empty base would take 77 strong
     generators and twice the time.  Pass ``[Permutation.identity(n)]``
     for the trivial group; an empty generator list is an error."""
     gens, n = _validated(generators)
-    base: list[int] = []
+    group = BSGS(n)
     pool = [g.images for g in gens if not g.is_identity()]
     while pool:
         point = min(next(x for x, y in enumerate(g) if x != y) for g in pool)
-        base.append(point)
+        group._add_level(point)
         pool = [g for g in pool if g[point] == point]
-    group = BSGS(n, base)
     for g in gens:
-        group.extend(g)
+        group._extend(g.images)
     return group
 
 

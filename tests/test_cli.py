@@ -58,6 +58,18 @@ def test_gen_rejects_bad_parameters():
         assert proc.stderr.strip()
 
 
+def test_gen_rejects_a_family_past_graph6_before_building_it():
+    # K(18, 9) has 48,620 vertices: building it first would take minutes
+    proc = run_cli(["gen", "kneser", "-n", "18", "-k", "9"])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: graph6 short form supports at most 62 vertices\n"
+    # a family past 62 vertices with an invalid -t keeps the constructor's message
+    proc = run_cli(["gen", "johnson", "-n", "10", "-k", "5", "-t", "7"])
+    assert proc.returncode == 2
+    assert proc.stderr == "error: need 0 <= t < k <= n, got n=10, k=5, t=7\n"
+
+
 def test_aut_petersen_reports_order_120():
     g6 = graph6_encode(petersen_subsets())
     proc = run_cli(["aut"], stdin_text=g6 + "\n")

@@ -377,59 +377,33 @@ def test_schreier_sims_matches_reference_random():
     assert 1 in orders and 2 in orders and max(orders) >= math.factorial(10)
 
 
-def test_prescribed_base_matches_reference_random():
-    rng = random.Random(10)
-    for _ in range(300):
-        n = rng.randint(1, 12)
-        gens = random_generator_set(rng, n)
-        base = rng.sample(range(n), rng.randint(0, n))
-        group = BSGS(n, base)
-        for g in gens:
-            group.extend(g)
-        assert group.base[:len(base)] == tuple(base)
-        assert_same_group(group, gens, rng)
-
-
-def test_extend_one_at_a_time_matches_schreier_sims_of_each_prefix():
-    rng = random.Random(11)
-    for _ in range(200):
-        n = rng.randint(1, 12)
-        gens = random_generator_set(rng, n)
-        group = BSGS(n)
-        for k, g in enumerate(gens):
-            before = schreier_sims(gens[:k]) if k else None
-            assert group.extend(g) is not (g.is_identity() or before is not None and before.contains(g))
-            fresh = schreier_sims(gens[:k + 1])
-            assert group.order() == fresh.order()
-            for p in [random_perm(rng, n), random_word(rng, gens[:k + 1], 6), *fresh.strong_generators]:
-                assert group.contains(p) == fresh.contains(p)
-            assert_same_group(group, gens[:k + 1], rng)
-
-
 def test_extend_by_a_member_changes_nothing():
-    _, gens = battery_generators("S4")
-    group = schreier_sims(gens)
-    fields = (group.base, group.strong_generators, group.transversals)
-    for p in closure(gens, 24):
-        assert group.extend(p) is False
-    assert (group.base, group.strong_generators, group.transversals) == fields
+    # gens + gens has the same greedy base, and its second half extends the
+    # group by members only
+    rng = random.Random(10)
+    sets = [battery_generators(name)[1] for name in sorted(BATTERY)]
+    sets += [random_generator_set(rng, rng.randint(1, 12)) for _ in range(300)]
+    for gens in sets:
+        once, twice = schreier_sims(gens), schreier_sims(gens + gens)
+        assert twice.base == once.base
+        assert twice.strong_generators == once.strong_generators
+        assert twice.transversals == once.transversals
 
 
-def test_bsgs_rejects_bad_base_and_degree():
-    for base in ([4], [-1], [1, 1]):
-        with pytest.raises(ValueError):
-            BSGS(4, base)
+def test_schreier_sims_opens_a_level_past_the_greedy_base():
+    # both generators move point 0, so the greedy base is (0,); the residue
+    # of (1 2) after sifting fixes 0 and opens a level at 1
+    group = schreier_sims([P.from_cycles(3, [[1, 2, 3]]), P.from_cycles(3, [[1, 2]])])
+    assert group.base == (0, 1)
+    assert [len(t) for t in group.transversals] == [3, 2]
+    assert group.order() == 6
+
+
+def test_bsgs_rejects_bad_degree():
     with pytest.raises(ValueError):
         BSGS(0)
     with pytest.raises(ValueError, match="degree mismatch"):
-        BSGS(4).extend(P.identity(5))
-
-
-def test_prescribed_base_fixed_by_every_generator_opens_a_new_level():
-    group = BSGS(5, [0, 1])
-    assert group.extend(P.from_cycles(5, [[3, 5, 4]]))
-    assert group.base == (0, 1, 2)
-    assert [len(t) for t in group.transversals] == [1, 1, 3]
+        schreier_sims([P.identity(4)]).contains(P.identity(5))
 
 
 @pytest.mark.parametrize(
