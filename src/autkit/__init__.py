@@ -1,87 +1,12 @@
 """Permutation groups, small-graph automorphisms, and a certified check
 that the Petersen graph's automorphism group is S5."""
 
-from .graphs import (
-    Graph,
-    Graph6Error,
-    KSubset,
-    degree_sequence,
-    diameter,
-    edge_count,
-    girth,
-    graph6_decode,
-    graph6_encode,
-    is_automorphism,
-    is_connected,
-    is_regular,
-    johnson_general,
-    kneser,
-    permute_graph,
-    petersen_classic,
-    petersen_layout,
-    petersen_subsets,
-    subsets,
-    to_dot,
-)
-from .perms import BSGS, CapacityError, Permutation, closure, orbit, schreier_sims
-from .search import (
-    CanonicalForm,
-    OrderedPartition,
-    are_isomorphic,
-    automorphism_group,
-    brute_force_automorphisms,
-    canonical_form,
-    refine,
-)
-from .verify import (
-    VerificationReport,
-    check_homomorphism,
-    check_kernel_trivial,
-    induced_action,
-    s5_generators,
-    verify_petersen,
-)
+from . import graphs, perms, search, verify
+from .graphs import *
+from .perms import *
+from .search import *
+from .verify import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BSGS",
-    "CanonicalForm",
-    "CapacityError",
-    "Graph",
-    "Graph6Error",
-    "KSubset",
-    "OrderedPartition",
-    "Permutation",
-    "VerificationReport",
-    "are_isomorphic",
-    "automorphism_group",
-    "brute_force_automorphisms",
-    "canonical_form",
-    "check_homomorphism",
-    "check_kernel_trivial",
-    "closure",
-    "degree_sequence",
-    "diameter",
-    "edge_count",
-    "girth",
-    "graph6_decode",
-    "graph6_encode",
-    "induced_action",
-    "is_automorphism",
-    "is_connected",
-    "is_regular",
-    "johnson_general",
-    "kneser",
-    "orbit",
-    "permute_graph",
-    "petersen_classic",
-    "petersen_layout",
-    "petersen_subsets",
-    "refine",
-    "s5_generators",
-    "schreier_sims",
-    "subsets",
-    "to_dot",
-    "verify_petersen",
-]
+__all__ = [*graphs.__all__, *perms.__all__, *search.__all__, *verify.__all__]

@@ -137,8 +137,6 @@ def degree_sequence(g: Graph) -> list[int]:
 
 def is_regular(g: Graph) -> Optional[int]:
     """The common vertex degree, or None if degrees differ (or n = 0)."""
-    if g.n == 0:
-        return None
     degrees = {bits.bit_count() for bits in g.adj}
     if len(degrees) == 1:
         return degrees.pop()
@@ -255,8 +253,6 @@ def johnson_general(n: int, k: int, t: int) -> Graph:
 
 def kneser(n: int, k: int) -> Graph:
     """k-subsets of {1..n}, adjacent iff disjoint (edgeless when 2k > n)."""
-    if k < 0 or k > n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     return _subset_graph(n, k, 0)
 
 
@@ -357,7 +353,8 @@ def to_dot(g: Graph, layout: Optional[Mapping[int, tuple[float, float]]] = None)
     for v in range(g.n):
         attrs = []
         if g.labels is not None:
-            attrs.append(f'label="{g.labels[v]}"')
+            label = g.labels[v].replace("\\", "\\\\").replace('"', '\\"')
+            attrs.append(f'label="{label}"')
         if layout is not None:
             x, y = layout[v]
             attrs.append(f'pos="{_fmt_coord(x)},{_fmt_coord(y)}!"')

@@ -51,8 +51,6 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> Permutation:
-        if n < 1:
-            raise ValueError("permutation degree must be at least 1")
         return cls(range(n))
 
     @classmethod

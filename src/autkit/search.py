@@ -335,28 +335,23 @@ def brute_force_automorphisms(g: Graph) -> list[Permutation]:
     n = g.n
     adj = g.adj
     images = [0] * n
-    used = [False] * n
     found: list[Permutation] = []
 
-    def place(i: int) -> None:
+    def place(i: int, used: int) -> None:
+        # used is the bitmask of images[:i]; t extends the map iff it is unused
+        # and its neighbours in used are the images of i's earlier neighbours
         if i == n:
             found.append(Permutation(images))
             return
         row = adj[i]
+        want = 0
+        for j in range(i):
+            if (row >> j) & 1:
+                want |= 1 << images[j]
         for t in range(n):
-            if used[t]:
-                continue
-            ok = True
-            for j in range(i):
-                if ((row >> j) & 1) != ((adj[t] >> images[j]) & 1):
-                    ok = False
-                    break
-            if ok:
+            if not (used >> t) & 1 and adj[t] & used == want:
                 images[i] = t
-                used[t] = True
-                place(i + 1)
-                used[t] = False
-        images[i] = 0
+                place(i + 1, used | 1 << t)
 
-    place(0)
+    place(0, 0)
     return found

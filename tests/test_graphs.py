@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -65,6 +66,14 @@ def test_subsets_bad_parameters():
         subsets(3, 4)
     with pytest.raises(ValueError):
         subsets(3, -1)
+
+
+def test_kneser_bad_parameters():
+    # the message comes from subsets, which kneser calls first
+    for n, k in [(3, 4), (3, -1), (0, -1)]:
+        with pytest.raises(ValueError) as err:
+            kneser(n, k)
+        assert str(err.value) == f"need 0 <= k <= n, got k={k}, n={n}"
 
 
 def test_ksubset_validation_and_label():
@@ -169,6 +178,7 @@ def test_edge_count_and_regularity_degenerate_cases():
     path3 = Graph.from_edges(3, [(0, 1), (1, 2)])
     assert degree_sequence(path3) == [1, 1, 2]
     assert is_regular(path3) is None
+    assert is_regular(Graph(0, ())) is None
 
 
 def test_girth_and_diameter_examples():
@@ -194,6 +204,21 @@ def test_graph_validation():
         Graph(2, (0b10, 0b01), labels=("a", "a"))
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 2)])
+
+
+@pytest.mark.parametrize(
+    "n, adj, message",
+    [
+        (-1, (), "vertex count must be nonnegative"),
+        (2, (0,), "adjacency length does not match vertex count"),
+        (2, (0b100, 0), "adjacency of vertex 0 mentions vertices >= 2"),
+        (3, (0b110, 0, 0), "adjacency not symmetric at (0, 1)"),
+    ],
+)
+def test_graph_validation_messages(n, adj, message):
+    with pytest.raises(ValueError) as err:
+        Graph(n, adj)
+    assert str(err.value) == message
 
 
 def test_constructors_produce_valid_adjacency():
@@ -311,3 +336,12 @@ def test_to_dot_without_layout(petersen):
 def test_to_dot_single_vertex():
     dot = to_dot(Graph(1, (0,)))
     assert dot == "graph {\n  0;\n}\n"
+
+
+def test_to_dot_escapes_labels():
+    labels = ['a"b', "c\\", 'd\\"e', "{1,2}"]
+    dot = to_dot(Graph.from_edges(4, [(0, 1), (2, 3)], labels=labels))
+    # a DOT quoted string: any character but a quote or backslash, or a
+    # backslash and the character it escapes
+    read = re.findall(r'^  \d+ \[label="((?:[^"\\]|\\.)*)"\];$', dot, re.MULTILINE)
+    assert [re.sub(r"\\(.)", r"\1", text) for text in read] == labels

@@ -44,8 +44,10 @@ def test_identity_images():
 
 
 def test_identity_degree_zero_rejected():
-    with pytest.raises(ValueError):
-        P.identity(0)
+    for n in (0, -2):
+        with pytest.raises(ValueError) as err:
+            P.identity(n)
+        assert str(err.value) == "permutation degree must be at least 1"
     with pytest.raises(ValueError):
         P(())
 

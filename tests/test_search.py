@@ -350,6 +350,26 @@ def test_brute_force_lexicographic_order(petersen):
     assert [a.images for a in autos] == sorted(a.images for a in autos)
 
 
+def oracle_automorphisms(g):
+    # every vertex map, in lexicographic order of image arrays, kept when it
+    # preserves adjacency
+    return [
+        q
+        for im in itertools.permutations(range(g.n))
+        if is_automorphism(g, q := Permutation(im))
+    ]
+
+
+def test_brute_force_matches_permutation_oracle():
+    graphs = [graph_from_mask(n, mask) for n in range(1, 6) for mask in all_masks(n)]
+    rng = random.Random(2024)
+    graphs += [random_graph(rng, 6) for _ in range(60)]
+    graphs += [random_graph(rng, 7) for _ in range(15)]
+    assert len(graphs) == 1174
+    for g in graphs:
+        assert brute_force_automorphisms(g) == oracle_automorphisms(g), g.adj
+
+
 def test_brute_force_capacity_guard():
     with pytest.raises(CapacityError):
         brute_force_automorphisms(Graph(11, (0,) * 11))
