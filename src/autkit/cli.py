@@ -8,6 +8,7 @@ Exit codes: 0 success (or VERIFIED), 1 negative mathematical result
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import Optional
@@ -141,7 +142,10 @@ def cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    one in the process; parsing leaves it unchanged, and callers must too."""
     parser = argparse.ArgumentParser(
         prog="autkit",
         description="Permutation-group and graph-automorphism toolkit for small graphs.",

@@ -75,16 +75,29 @@ class Graph:
             raise ValueError("vertex count must be nonnegative")
         if len(self.adj) != self.n:
             raise ValueError("adjacency length does not match vertex count")
-        full = (1 << self.n) - 1
         for v, bits in enumerate(self.adj):
-            if bits & ~full:
+            if bits >> self.n:
                 raise ValueError(f"adjacency of vertex {v} mentions vertices >= {self.n}")
             if (bits >> v) & 1:
                 raise ValueError(f"loop at vertex {v}")
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if ((self.adj[u] >> v) & 1) != ((self.adj[v] >> u) & 1):
-                    raise ValueError(f"adjacency not symmetric at ({u}, {v})")
+        # the transpose over set bits, O(n + m); on a mismatch the first
+        # asymmetric pair (u, v), u < v, in row-major order is the lowest
+        # bit above u in the first XOR row u that has one
+        transpose = [0] * self.n
+        for v, bits in enumerate(self.adj):
+            column = 1 << v
+            while bits:
+                low = bits & -bits
+                transpose[low.bit_length() - 1] |= column
+                bits ^= low
+        if tuple(transpose) != self.adj:
+            u, above = next(
+                (u, above)
+                for u, (row, col) in enumerate(zip(self.adj, transpose))
+                if (above := (row ^ col) >> (u + 1))
+            )
+            v = u + (above & -above).bit_length()
+            raise ValueError(f"adjacency not symmetric at ({u}, {v})")
         if self.labels is not None:
             if len(self.labels) != self.n:
                 raise ValueError("label count does not match vertex count")
@@ -233,15 +246,27 @@ def subsets(n: int, k: int) -> list[KSubset]:
 
 
 def _subset_graph(n: int, k: int, wanted_intersection: int) -> Graph:
+    """k-subsets of {1..n}, adjacent iff they share exactly
+    ``wanted_intersection`` members.  Each subset's neighbours are listed
+    directly: keep that many of its members and add the rest from its
+    complement, looked up by bitmask."""
     verts = subsets(n, k)
-    sets = [frozenset(s.members) for s in verts]
-    edges = [
-        (i, j)
-        for i in range(len(verts))
-        for j in range(i + 1, len(verts))
-        if len(sets[i] & sets[j]) == wanted_intersection
-    ]
-    return Graph.from_edges(len(verts), edges, labels=[s.label() for s in verts])
+    bits = [1 << m for m in range(n + 1)]
+    masks = [sum(bits[m] for m in s.members) for s in verts]
+    index = {mask: v for v, mask in enumerate(masks)}
+    adj = []
+    for s, mask in zip(verts, masks):
+        row = 0
+        # a subset that keeps all k members is the vertex itself
+        if wanted_intersection < k:
+            rest = [bit for bit in bits[1:] if not mask & bit]
+            added = [sum(c) for c in itertools.combinations(rest, k - wanted_intersection)]
+            for kept in itertools.combinations([bits[m] for m in s.members], wanted_intersection):
+                kept_mask = sum(kept)
+                for extra in added:
+                    row |= 1 << index[kept_mask | extra]
+        adj.append(row)
+    return Graph(len(verts), tuple(adj), tuple(s.label() for s in verts))
 
 
 def johnson_general(n: int, k: int, t: int) -> Graph:

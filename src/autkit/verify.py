@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass
-from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
 from .graphs import (
@@ -41,8 +40,15 @@ __all__ = [
 
 S5_ORDER = 120
 
-_SUBSETS = tuple(s.members for s in subsets(5, 3))
-_SUBSET_INDEX = {members: idx for idx, members in enumerate(_SUBSETS)}
+#: the 0-based members of each 3-subset of {1..5}, in vertex order, and
+#: the vertex of each 3-subset by its bitmask over those members
+_MEMBERS = tuple(tuple(m - 1 for m in s.members) for s in subsets(5, 3))
+_VERTEX_OF_MASK = {sum(1 << m for m in members): v for v, members in enumerate(_MEMBERS)}
+
+#: ``bytes.translate`` tables have one entry per byte value, so the byte
+#: encoding of a permutation holds points 0..255 only
+BYTE_POINTS = 256
+_IDENTITY_TABLE = bytes(range(BYTE_POINTS))
 
 Action = Callable[[Permutation], Permutation]
 
@@ -60,21 +66,8 @@ def induced_action(g: Permutation) -> Permutation:
     3-subset A goes to the vertex for {g(a) : a in A}."""
     if g.degree != 5:
         raise ValueError(f"expected a degree-5 permutation, got degree {g.degree}")
-    images = [0] * len(_SUBSETS)
-    for idx, members in enumerate(_SUBSETS):
-        image = tuple(sorted(g(m - 1) + 1 for m in members))
-        images[idx] = _SUBSET_INDEX[image]
-    return Permutation(images)
-
-
-def _composer(images: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
-    """The map q -> p * q on image tuples, for the permutation p with these
-    images (left-to-right: apply p, then q), as one C-level call."""
-    pick = itemgetter(*images)
-    if len(images) == 1:
-        # itemgetter with a single index returns the item, not a 1-tuple
-        return lambda q: (pick(q),)
-    return pick
+    bit = [1 << x for x in g.images]
+    return Permutation([_VERTEX_OF_MASK[bit[a] | bit[b] | bit[c]] for a, b, c in _MEMBERS])
 
 
 def _phi_table(gens: list[Permutation], action: Action) -> tuple[list[Permutation], list[Permutation]]:
@@ -99,21 +92,33 @@ def _homomorphism_pairs(elements: list[Permutation], images: list[Permutation]) 
     this order; otherwise it returns ``(True, len(elements) ** 2)``.  A
     pair whose two images differ in degree fails.  ``elements`` is a
     whole group, so every product is one of them.
+
+    Permutations are compared as byte strings, and p * q is
+    ``p.translate(table of q)``, so a degree past ``BYTE_POINTS`` raises
+    ``CapacityError`` before any pair is compared.
     """
-    table = [(g.images, img.images) for g, img in zip(elements, images)]
-    phi = dict(table)
-    n = len(table)
+    degree = max(p.degree for p in (*elements, *images))
+    if degree > BYTE_POINTS:
+        raise CapacityError(
+            f"byte-table composition has a {BYTE_POINTS}-point limit; got a permutation of degree {degree}"
+        )
+    g_bytes = [bytes(g.images) for g in elements]
+    phi_bytes = [bytes(img.images) for img in images]
+    phi = dict(zip(g_bytes, phi_bytes))
+    n = len(elements)
     # An image of another degree than phi(elements[0]) fails its pair in
     # the first row, so the scan ends there; earlier first-row pairs, all
     # of one degree, may still fail first.
-    degree = len(table[0][1])
-    cut = next((j for j, (_, img) in enumerate(table) if len(img) != degree), None)
-    rows, columns = (table, table) if cut is None else (table[:1], table[:cut])
-    for i, (g, phi_g) in enumerate(rows):
-        g_times, phi_g_times = _composer(g), _composer(phi_g)
-        for j, (h, phi_h) in enumerate(columns):
-            if phi[g_times(h)] != phi_g_times(phi_h):
-                return False, i * n + j + 1
+    cut = next((j for j, img in enumerate(phi_bytes) if len(img) != len(phi_bytes[0])), None)
+    rows, columns = (n, n) if cut is None else (1, cut)
+    g_tables = [g + _IDENTITY_TABLE[len(g):] for g in g_bytes[:columns]]
+    phi_tables = [img + _IDENTITY_TABLE[len(img):] for img in phi_bytes[:columns]]
+    for i in range(rows):
+        lhs = list(map(phi.__getitem__, map(g_bytes[i].translate, g_tables)))
+        rhs = list(map(phi_bytes[i].translate, phi_tables))
+        if lhs != rhs:
+            j = next(j for j, (left, right) in enumerate(zip(lhs, rhs)) if left != right)
+            return False, i * n + j + 1
     if cut is not None:
         return False, cut + 1
     return True, n * n
@@ -136,6 +141,10 @@ def check_homomorphism(
     Pairs run with g outer and h inner, in ``closure`` order; the result
     is ``(True, pairs checked)``, or ``(False, position of the first
     failing pair)``.  A pair whose images differ in degree fails.
+
+    Products are composed on byte strings with ``bytes.translate``, which
+    holds points 0..255: an element or image of degree past 256 raises
+    ``CapacityError`` before any pair is compared.
     """
     gens = list(generators) if generators is not None else list(s5_generators())
     return _homomorphism_pairs(*_phi_table(gens, action))
@@ -202,7 +211,11 @@ def verify_petersen(
     }
 
     t0 = time.perf_counter()
-    hom_ok, pairs = _homomorphism_pairs(elements, images)
+    try:
+        hom_ok, pairs = _homomorphism_pairs(elements, images)
+    except CapacityError:
+        # a permutation past the byte tables' 256 points; no pair compared
+        hom_ok, pairs = False, 0
     timings["homomorphism"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 
 from autkit import (
@@ -11,6 +13,7 @@ from autkit import (
     petersen_subsets,
 )
 
+from autkit.cli import build_parser, main
 from conftest import run_cli
 
 TRIANGLE_G6 = "Bw"
@@ -222,3 +225,41 @@ def test_cli_output_is_byte_deterministic():
         second = run_cli(args, stdin_text=stdin_text)
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def run_in_process(args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(args)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_main_in_one_process_matches_separate_processes(tmp_path, monkeypatch):
+    # the shared parser carries nothing from one call to the next, usage
+    # errors included
+    monkeypatch.setenv("COLUMNS", "80")
+    a = tmp_path / "a.g6"
+    a.write_text(graph6_encode(petersen_subsets()) + "\n", encoding="ascii")
+    b = tmp_path / "b.g6"
+    b.write_text(graph6_encode(petersen_classic()) + "\n", encoding="ascii")
+    calls = [
+        ["aut", "--bogus"],
+        ["aut", str(a)],
+        ["canon", str(b)],
+        ["iso", str(a), str(b)],
+        ["verify-petersen"],
+        ["gen", "kneser", "-n", "x"],
+        ["verify-petersen", "--brute"],
+        ["iso", "-", "-"],
+        ["canon", str(a)],
+    ]
+    for args in calls:
+        proc = run_cli(args)
+        assert run_in_process(args) == (proc.returncode, proc.stdout, proc.stderr), args

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 
@@ -26,6 +27,7 @@ from autkit import (
 )
 from autkit.verify import induced_action
 
+import reference_graphs
 from conftest import random_graph
 
 
@@ -219,6 +221,44 @@ def test_graph_validation_messages(n, adj, message):
     with pytest.raises(ValueError) as err:
         Graph(n, adj)
     assert str(err.value) == message
+
+
+def test_symmetry_check_matches_pairwise_reference():
+    # one or two flipped bits off the diagonal; two flips of one pair
+    # restore symmetry, and two in different pairs must report the first
+    # in row-major order
+    rng = random.Random(23)
+    outcomes = set()
+    for case in range(400):
+        n = rng.randint(2, 40)
+        adj = list(random_graph(rng, n, rng.random()).adj)
+        for _ in range(1 + case % 2):
+            u, v = rng.sample(range(n), 2)
+            if case % 10 == 1:
+                adj[v] ^= 1 << u  # the mirror bit of the last flip
+            adj[u] ^= 1 << v
+        pair = reference_graphs.asymmetric_pair(tuple(adj))
+        if pair is None:
+            assert Graph(n, adj).adj == tuple(adj)
+        else:
+            with pytest.raises(ValueError) as err:
+                Graph(n, adj)
+            assert str(err.value) == "adjacency not symmetric at ({}, {})".format(*pair)
+        outcomes.add(pair is None)
+    assert outcomes == {True, False}
+
+
+def test_subset_graphs_match_pairwise_reference():
+    # labels and adjacency of every family with at most 500 vertices on a
+    # ground set of at most 11 (C(11, 5) = 462); each ground size past that
+    # adds about 2 s
+    for n in range(1, 12):
+        for k in range(n + 1):
+            if math.comb(n, k) > 500:
+                continue
+            assert kneser(n, k) == reference_graphs.subset_graph(n, k, 0), (n, k)
+            for t in range(1, k):
+                assert johnson_general(n, k, t) == reference_graphs.subset_graph(n, k, t), (n, k, t)
 
 
 def test_constructors_produce_valid_adjacency():

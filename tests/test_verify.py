@@ -6,6 +6,7 @@ import pytest
 import autkit.verify
 import reference_verify
 from autkit import (
+    CapacityError,
     Graph,
     Permutation,
     closure,
@@ -15,6 +16,8 @@ from autkit import (
     petersen_subsets,
 )
 from autkit.verify import (
+    _homomorphism_pairs,
+    _phi_table,
     check_homomorphism,
     check_kernel_trivial,
     induced_action,
@@ -76,6 +79,22 @@ def test_induced_action_of_transposition():
 def test_induced_action_rejects_wrong_degree():
     with pytest.raises(ValueError):
         induced_action(Permutation.identity(4))
+
+
+def test_induced_action_matches_reference_on_s5():
+    for g in s5_elements():
+        image = induced_action(g)
+        assert isinstance(image, Permutation)
+        assert image == reference_verify.induced_action(g)
+
+
+@pytest.mark.parametrize("degree", [1, 4, 6])
+def test_induced_action_degree_message_matches_reference(degree):
+    with pytest.raises(ValueError) as fast:
+        induced_action(Permutation.identity(degree))
+    with pytest.raises(ValueError) as reference:
+        reference_verify.induced_action(Permutation.identity(degree))
+    assert str(fast.value) == str(reference.value) == f"expected a degree-5 permutation, got degree {degree}"
 
 
 def test_phi_generator_images_frozen():
@@ -249,6 +268,80 @@ def test_checks_match_reference_seeded_corruptions():
         passed += ok
     # both outcomes occur, so the comparison is not vacuous either way
     assert failed > 50 and passed > 20
+
+
+def test_homomorphism_pairs_match_tuple_reference_seeded_corruptions():
+    # the byte-table scan against the itemgetter scan, which holds every
+    # degree: the same (ok, position) on every corruption
+    rng = random.Random(12)
+    group = s5_elements()
+    true_images = [induced_action(g) for g in group]
+    positions = set()
+    for case in range(240):
+        kind = ("swap", "replace", "kernel", "degree", "swap", "constant")[case % 6]
+        idx = rng.randrange(len(group))
+        target, img = group[idx], true_images[idx]
+        if kind == "swap":
+            images = list(img.images)
+            a, b = rng.sample(range(10), 2)
+            images[a], images[b] = images[b], images[a]
+            replacement = Permutation(images)
+        elif kind == "replace":
+            replacement = rng.choice([h for h in true_images if h != img])
+        elif kind == "kernel":
+            replacement = Permutation.identity(10)
+        elif kind == "degree":
+            replacement = Permutation.identity(rng.choice([1, 9, 11]))
+        else:
+            # every image of degree 1 but one of another degree
+            replacement = Permutation.identity(rng.choice([1, 2]))
+        corrupted = {target: replacement}
+        base = (lambda p: Permutation.identity(1)) if kind == "constant" else induced_action
+
+        def action(p, corrupted=corrupted, base=base):
+            return corrupted.get(p) or base(p)
+
+        generators = list(s5_generators()) if rng.random() < 0.25 else rng.sample(group, rng.randint(1, 3))
+        elements, images = _phi_table(generators, action)
+        result = _homomorphism_pairs(elements, images)
+        assert result == reference_verify._homomorphism_pairs(elements, images), (case, kind)
+        positions.add(result)
+    # failures land in many rows and columns, past the first row too, and
+    # some actions pass, so the comparison pins the position arithmetic
+    failures = {k for ok, k in positions if not ok}
+    assert len(failures) > 40
+    assert any(k > 120 and k % 120 not in (0, 1) for k in failures)
+    assert any(ok for ok, _ in positions)
+
+
+def padded_action(degree):
+    """The induced action with the points past 10 fixed, up to ``degree``."""
+    return lambda p: Permutation(induced_action(p).images + tuple(range(10, degree)))
+
+
+def test_homomorphism_holds_up_to_256_points():
+    assert check_homomorphism(action=padded_action(256)) == (True, 14400)
+    assert check_homomorphism(generators=[Permutation.identity(256)], action=lambda p: p) == (True, 1)
+
+
+def test_homomorphism_past_256_points_raises_capacity_error():
+    with pytest.raises(CapacityError, match="256-point limit"):
+        check_homomorphism(action=padded_action(257))
+    with pytest.raises(CapacityError, match="256-point limit"):
+        check_homomorphism(generators=[Permutation.identity(257)], action=lambda p: Permutation.identity(1))
+
+
+def test_verify_petersen_images_past_256_points_falsified(monkeypatch):
+    report = verify_petersen(action=padded_action(257))
+    assert report.verdict == "FALSIFIED"
+    assert report.homomorphism_checked == 0
+    assert report.image_order == 120
+    assert "homomorphism" in report.timings
+    # with the Aut check passed, the refused homomorphism check alone
+    # decides the verdict
+    monkeypatch.setattr(autkit.verify, "_phi_in_aut", lambda graph, images: True)
+    assert verify_petersen(action=padded_action(257)).verdict == "FALSIFIED"
+    assert verify_petersen(action=padded_action(256)).verdict == "VERIFIED"
 
 
 def test_verify_petersen_enumerates_s5_once(monkeypatch):
