@@ -5,7 +5,7 @@ backtracking, plus an exhaustive brute-force oracle."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .graphs import Graph, edge_count, permute_graph
 from .perms import CapacityError, Permutation
@@ -66,49 +66,101 @@ def _check_covers(g: Graph, p: OrderedPartition) -> None:
         raise ValueError("partition does not cover the graph's vertex set exactly")
 
 
-def _refine_cells(g: Graph, cells: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Fixpoint of splitting every cell by neighbour counts into every
-    splitter cell.  The first splitter, in cell order, that splits some
-    cell splits every cell at once; the fragments keep the relative
-    vertex order and are emitted with the larger neighbour count first,
-    and the scan starts again from the first cell.  Any fixed rule would
-    do, this one is the deterministic contract.
+def _refine(
+    nbrs: list[tuple[int, ...]], lab: list[int], end: list[int], cellof: list[int], dirty: list[bool], i: int
+) -> None:
+    """Refine a flat partition in place to the fixpoint of splitting
+    every cell by neighbour counts into every splitter cell.
 
-    A splitter is *clean* once every cell has the same neighbour count
-    in it for all of its vertices: after a check that splits nothing, and
-    after a split it made, since each fragment is uniform towards it.
-    The partition only gets finer and a subset of a uniform cell stays
-    uniform, so a clean splitter can never split again and is skipped.
-    That leaves the first splitting splitter, and so the result, the same
-    as rescanning every splitter.  Cleanness holds only for refinements
-    of this call's input, so the set lives for one call."""
-    adj = g.adj
-    clean: set[tuple[int, ...]] = set()
-    while True:
-        for splitter in cells:
-            if splitter in clean:
+    The partition is nauty's layout: ``lab`` lists the vertices cell by
+    cell, ``end[s]`` is the end of the cell that starts at position s,
+    ``cellof[v]`` is the start of v's cell, and ``dirty[s]`` says that
+    the cell starting at s may still split something.  A cell keeps its
+    start when it splits, so cell order is position order.
+
+    The first dirty splitter, in cell order, that splits some cell splits
+    every cell at once; the fragments keep the relative vertex order and
+    are laid out with the larger neighbour count first.  Any fixed rule
+    would do, this one is the deterministic contract.  It gives the result
+    of rescanning every splitter from the first cell after each split
+    (``tests/reference_search.py``) because a clean cell cannot split
+    anything: it is clean after a check that splits nothing, and after a
+    split it made, since each fragment is uniform towards it; the
+    partition only gets finer, and a subset of a uniform cell stays
+    uniform.  Every fragment starts dirty.
+
+    The splitter's neighbour counts are tallied from the neighbour lists
+    ``nbrs`` into ``cnt``, zeroed again after each splitter, and only the
+    non-singleton cells those neighbours touch are checked: in a cell
+    that no neighbour of the splitter touches every vertex has count 0,
+    so it cannot split.  After a split the scan resumes at the earliest
+    fragment or at the next cell, whichever comes first; every cell
+    before that point is clean.
+
+    The caller passes as ``i`` a position at or before the first dirty
+    cell.  On return no cell is dirty."""
+    n = len(lab)
+    cnt = [0] * n
+    get = cnt.__getitem__
+    while i < n:
+        e = end[i]
+        if not dirty[i]:
+            i = e
+            continue
+        dirty[i] = False
+        touched = nbrs[lab[i]] if e - i == 1 else [u for v in lab[i:e] for u in nbrs[v]]
+        for u in touched:
+            cnt[u] += 1
+        resume = e
+        for c in set(map(cellof.__getitem__, touched)):
+            ce = end[c]
+            if ce - c == 1:
                 continue
-            smask = 0
-            for v in splitter:
-                smask |= 1 << v
-            new_cells: Optional[list[tuple[int, ...]]] = None
-            for idx, cell in enumerate(cells):
-                if len(cell) > 1:
-                    counts = [(adj[v] & smask).bit_count() for v in cell]
-                    if counts.count(counts[0]) != len(counts):
-                        if new_cells is None:
-                            new_cells = cells[:idx]
-                        for key in sorted(set(counts), reverse=True):
-                            new_cells.append(tuple(v for v, c in zip(cell, counts) if c == key))
-                        continue
-                if new_cells is not None:
-                    new_cells.append(cell)
-            clean.add(splitter)
-            if new_cells is not None:
-                cells = new_cells
-                break
-        else:
-            return cells
+            cell = lab[c:ce]
+            counts = list(map(get, cell))
+            if counts.count(counts[0]) == len(counts):
+                continue
+            if c < resume:
+                resume = c
+            # sorted() is stable even reversed, so each fragment keeps the vertex order
+            lab[c:ce] = sorted(cell, key=get, reverse=True)
+            for key in sorted(set(counts), reverse=True):
+                fe = c + counts.count(key)
+                end[c] = fe
+                dirty[c] = True
+                for u in lab[c:fe]:
+                    cellof[u] = c
+                c = fe
+        for u in touched:
+            cnt[u] = 0
+        i = resume
+
+
+def _cells(lab: list[int], end: list[int]) -> tuple[tuple[int, ...], ...]:
+    """The cells of a flat partition, in order."""
+    cells = []
+    i = 0
+    while i < len(lab):
+        cells.append(tuple(lab[i:end[i]]))
+        i = end[i]
+    return tuple(cells)
+
+
+def _flatten(n: int, cells: Iterable[Iterable[int]]) -> tuple[list[int], list[int], list[int], list[bool]]:
+    """``lab``, ``end``, ``cellof`` and ``dirty`` of ``_refine`` for the
+    ordered cells of a partition of range(n), with every cell dirty."""
+    lab: list[int] = []
+    end = [0] * n
+    cellof = [0] * n
+    dirty = [False] * n
+    for cell in cells:
+        start = len(lab)
+        lab.extend(cell)
+        end[start] = len(lab)
+        dirty[start] = True
+        for v in lab[start:]:
+            cellof[v] = start
+    return lab, end, cellof, dirty
 
 
 def refine(g: Graph, p: OrderedPartition) -> OrderedPartition:
@@ -116,7 +168,9 @@ def refine(g: Graph, p: OrderedPartition) -> OrderedPartition:
     afterwards all vertices of a cell have equally many neighbours in
     every cell.  Idempotent, never coarsens, deterministic cell order."""
     _check_covers(g, p)
-    return OrderedPartition(tuple(_refine_cells(g, list(p.cells))))
+    lab, end, cellof, dirty = _flatten(g.n, p.cells)
+    _refine([g.neighbors(v) for v in range(g.n)], lab, end, cellof, dirty, 0)
+    return OrderedPartition(_cells(lab, end))
 
 
 def _cert_bytes(g: Graph, order: list[int]) -> bytes:
@@ -206,38 +260,62 @@ class _IRSearch:
         if g.n < 1:
             raise ValueError("graph must have at least one vertex")
         self.g = g
+        self.nbrs = [g.neighbors(v) for v in range(g.n)]
         self.gens: list[Permutation] = []
         self.first: Optional[tuple[Permutation, bytes]] = None
         self.first_prefix: tuple[int, ...] = ()
         self.best: Optional[tuple[Permutation, bytes]] = None
 
     def run(self) -> tuple[tuple[Permutation, ...], Permutation, bytes]:
-        root = _refine_cells(self.g, [tuple(range(self.g.n))])
-        self._node(root, ())
+        # one list of dirty flags serves every refinement: each ends clean
+        lab, end, cellof, self.dirty = _flatten(self.g.n, [range(self.g.n)])
+        _refine(self.nbrs, lab, end, cellof, self.dirty, 0)
+        self._node(lab, end, cellof, ())
         assert self.best is not None
         return tuple(self.gens), self.best[0], self.best[1]
 
-    def _target_cell(self, cells: list[tuple[int, ...]]) -> Optional[int]:
-        # leftmost cell of minimum size among the non-singletons
+    @staticmethod
+    def _target_cell(end: list[int]) -> Optional[int]:
+        # start of the leftmost cell of minimum size among the non-singletons
         best = None
-        for idx, cell in enumerate(cells):
-            if len(cell) > 1 and (best is None or len(cell) < len(cells[best])):
-                best = idx
+        size = len(end) + 1
+        i = 0
+        while i < len(end):
+            if 1 < end[i] - i < size:
+                best, size = i, end[i] - i
+            i = end[i]
         return best
 
-    def _node(self, cells: list[tuple[int, ...]], prefix: tuple[int, ...]) -> int:
-        """Search the subtree; return the depth of the node to resume at."""
-        target = self._target_cell(cells)
+    def _node(self, lab: list[int], end: list[int], cellof: list[int], prefix: tuple[int, ...]) -> int:
+        """Search the subtree; return the depth of the node to resume at.
+
+        The node's partition is equitable, so each child refines from the
+        two cells that individualizing v creates: v alone at the target
+        cell's start, then the rest of the target cell.  Every other cell
+        c is a cell of this node, and every child cell lies inside a cell
+        of this node, whose vertices all have equally many neighbours in
+        c; so c splits nothing, and only the two new cells start dirty."""
+        target = self._target_cell(end)
         if target is None:
-            return self._leaf(cells, prefix)
+            return self._leaf(lab, prefix)
         depth = len(prefix)
+        stop = end[target]
+        cell = lab[target:stop]
         covered: set[int] = set()
-        for v in cells[target]:
+        for v in cell:
             if v in covered:
                 continue
-            rest = tuple(u for u in cells[target] if u != v)
-            child = cells[:target] + [(v,), rest] + cells[target + 1:]
-            jump = self._node(_refine_cells(self.g, child), prefix + (v,))
+            rest = [u for u in cell if u != v]
+            child_lab, child_end, child_cellof = lab[:], end[:], cellof[:]
+            child_lab[target] = v
+            child_lab[target + 1:stop] = rest
+            child_end[target] = target + 1
+            child_end[target + 1] = stop
+            for u in rest:
+                child_cellof[u] = target + 1
+            self.dirty[target] = self.dirty[target + 1] = True
+            _refine(self.nbrs, child_lab, child_end, child_cellof, self.dirty, target)
+            jump = self._node(child_lab, child_end, child_cellof, prefix + (v,))
             if jump < depth:
                 return jump
             covered.add(v)
@@ -262,10 +340,10 @@ class _IRSearch:
                     points.add(y)
                     stack.append(y)
 
-    def _leaf(self, cells: list[tuple[int, ...]], prefix: tuple[int, ...]) -> int:
-        """Record the leaf; return the depth of the node to resume at."""
+    def _leaf(self, order: list[int], prefix: tuple[int, ...]) -> int:
+        """Record the leaf, whose discrete partition is the vertex order
+        ``order``; return the depth of the node to resume at."""
         jump = len(prefix)
-        order = [cell[0] for cell in cells]
         cert = _cert_bytes(self.g, order)
         images = [0] * self.g.n
         for pos, v in enumerate(order):

@@ -66,6 +66,18 @@ def random_graph(rng, n, p=0.5):
     return Graph.from_edges(n, edges)
 
 
+def random_cubic(rng, n):
+    """A uniform random simple cubic graph on n vertices (pairing model,
+    rejecting pairings with loops or multiple edges)."""
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        pairs = list(zip(points[::2], points[1::2]))
+        edges = {(min(u, v), max(u, v)) for u, v in pairs}
+        if len(edges) == len(pairs) and all(u != v for u, v in pairs):
+            return Graph.from_edges(n, sorted(edges))
+
+
 def all_masks(n):
     return range(1 << (n * (n - 1) // 2))
 

@@ -32,7 +32,7 @@ from autkit import (
 import autkit.search as search
 import reference_perms
 import reference_search
-from conftest import all_masks, graph_from_mask, random_graph, run_cli
+from conftest import all_masks, graph_from_mask, random_cubic, random_graph, run_cli
 from test_cfi import BASES as CFI_BASES, cfi
 from unpruned_search import unpruned_search
 
@@ -144,8 +144,8 @@ def test_refine_cells_matches_reference_random():
     for _ in range(5000):
         n = rng.randint(1, 16)
         g = random_graph(rng, n, rng.choice((0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)))
-        cells = list(random_partition(rng, n).cells)
-        assert search._refine_cells(g, cells) == reference_search._refine_cells(g, cells)
+        p = random_partition(rng, n)
+        assert list(refine(g, p).cells) == reference_search._refine_cells(g, list(p.cells))
 
 
 @settings(max_examples=300)
@@ -158,7 +158,7 @@ def test_refine_cells_matches_reference_property(data):
     cuts = sorted(data.draw(st.sets(st.integers(1, n - 1))) if n > 1 else set())
     bounds = [0, *cuts, n]
     cells = [tuple(order[a:b]) for a, b in zip(bounds, bounds[1:])]
-    assert search._refine_cells(g, cells) == reference_search._refine_cells(g, cells)
+    assert list(refine(g, OrderedPartition(cells)).cells) == reference_search._refine_cells(g, cells)
 
 
 # a seeded random cubic graph on 36 vertices (pairing model); it is rigid,
@@ -169,22 +169,26 @@ CUBIC_36 = graph6_decode(
 
 
 @pytest.mark.parametrize(
-    "g", [kneser(6, 2), johnson_general(6, 2, 1), CUBIC_36], ids=["K(6,2)", "J(6,2,1)", "cubic-36"]
+    "g",
+    [kneser(6, 2), johnson_general(6, 2, 1), CUBIC_36, cfi(CFI_BASES["K4"][0]), Graph(12, (0,) * 12)],
+    ids=["K(6,2)", "J(6,2,1)", "cubic-36", "CFI(K4)", "edgeless-12"],
 )
 def test_refine_cells_matches_reference_on_search_partitions(g, monkeypatch):
+    # The search refines a child from the two cells individualization
+    # creates; the reference rescans every splitter of the same cells.
     calls = []
-    fast = search._refine_cells
+    fast = search._refine
 
-    def recording(graph, cells):
-        out = fast(graph, cells)
-        calls.append((list(cells), out))
-        return out
+    def recording(nbrs, lab, end, cellof, dirty, i):
+        cells = search._cells(lab, end)
+        fast(nbrs, lab, end, cellof, dirty, i)
+        calls.append((cells, search._cells(lab, end)))
 
-    monkeypatch.setattr(search, "_refine_cells", recording)
+    monkeypatch.setattr(search, "_refine", recording)
     canonical_form(g)
     assert len(calls) > 1
     for cells, out in calls:
-        assert out == reference_search._refine_cells(g, cells)
+        assert list(out) == reference_search._refine_cells(g, list(cells))
 
 
 # --------------------------------------------------------- leaf certificate
@@ -404,6 +408,14 @@ def test_pruned_search_matches_unpruned_random_6_to_8():
         assert_matches_unpruned(g)
 
 
+def test_pruned_search_matches_unpruned_rigid_cubic():
+    # rigid graphs whose trees have depth 1: every child of the root is a
+    # leaf and nothing is pruned, so refinement does all the work
+    for g in (CUBIC_36, random_cubic(random.Random(1), 30), random_cubic(random.Random(2), 48)):
+        assert automorphism_group(g) == (Permutation.identity(g.n),)
+        assert_matches_unpruned(g)
+
+
 def hoffman_singleton():
     """Robertson's construction: pentagons P_h (vertex 5h + j) and
     pentagrams Q_i (vertex 25 + 5i + j), with j of P_h joined to
@@ -466,17 +478,23 @@ def test_pruned_search_matches_unpruned_symmetric():
         (petersen_subsets(), 5),
         (kneser(7, 3), 7),
         (johnson_general(7, 3, 1), 8),
+        (CUBIC_36, 36),
+        (cfi(CFI_BASES["petersen"][0]), 12),
+        (cfi(CFI_BASES["petersen"][0], twisted=True), 12),
     ],
-    ids=["hoffman-singleton", "paley-61", "petersen", "K(7,3)", "J(7,3,1)"],
+    ids=[
+        "hoffman-singleton", "paley-61", "petersen", "K(7,3)", "J(7,3,1)",
+        "cubic-36", "CFI(petersen)", "CFI(petersen) twisted",
+    ],
 )
 def test_backjump_leaf_counts(g, leaves, monkeypatch):
     visited = 0
     leaf = search._IRSearch._leaf
 
-    def counting(self, cells, prefix):
+    def counting(self, order, prefix):
         nonlocal visited
         visited += 1
-        return leaf(self, cells, prefix)
+        return leaf(self, order, prefix)
 
     monkeypatch.setattr(search._IRSearch, "_leaf", counting)
     search._IRSearch(g).run()
