@@ -67,8 +67,15 @@ def _check_covers(g: Graph, p: OrderedPartition) -> None:
 
 
 def _refine(
-    nbrs: list[tuple[int, ...]], lab: list[int], end: list[int], cellof: list[int], dirty: list[bool], i: int
-) -> None:
+    nbrs: list[tuple[int, ...]],
+    lab: list[int],
+    end: list[int],
+    cellof: list[int],
+    dirty: list[bool],
+    i: int,
+    trace: Optional[list[tuple[int, int]]] = None,
+    expect: Optional[list[tuple[int, int]]] = None,
+) -> bool:
     """Refine a flat partition in place to the fixpoint of splitting
     every cell by neighbour counts into every splitter cell.
 
@@ -98,10 +105,24 @@ def _refine(
     before that point is clean.
 
     The caller passes as ``i`` a position at or before the first dirty
-    cell.  On return no cell is dirty."""
+    cell.  On return no cell is dirty.
+
+    The split trace is the (neighbour count, end) of every fragment in
+    the order the fragments are made.  With ``trace`` or ``expect``
+    given, the cells a splitter touches are taken in position order, not
+    in set order, which depends on the vertex labels; the refinement is
+    then label-equivariant, trace included: relabelling the graph and the
+    partition's cells alike leaves the trace unchanged.  The cells come
+    out the same either way, since each touched cell splits by the same
+    counts on its own.  Each fragment is appended to ``trace``, or must
+    be the next entry of ``expect``: at the first that is not, every
+    dirty flag is cleared and False returned, as it is when ``expect``
+    has entries left over at the end."""
     n = len(lab)
     cnt = [0] * n
     get = cnt.__getitem__
+    ordered = trace is not None or expect is not None
+    k = 0
     while i < n:
         e = end[i]
         if not dirty[i]:
@@ -112,7 +133,8 @@ def _refine(
         for u in touched:
             cnt[u] += 1
         resume = e
-        for c in set(map(cellof.__getitem__, touched)):
+        cells = set(map(cellof.__getitem__, touched))
+        for c in sorted(cells) if ordered else cells:
             ce = end[c]
             if ce - c == 1:
                 continue
@@ -126,6 +148,14 @@ def _refine(
             lab[c:ce] = sorted(cell, key=get, reverse=True)
             for key in sorted(set(counts), reverse=True):
                 fe = c + counts.count(key)
+                if ordered:
+                    if expect is None:
+                        trace.append((key, fe))
+                    elif k < len(expect) and expect[k] == (key, fe):
+                        k += 1
+                    else:
+                        dirty[:] = [False] * n
+                        return False
                 end[c] = fe
                 dirty[c] = True
                 for u in lab[c:fe]:
@@ -134,6 +164,7 @@ def _refine(
         for u in touched:
             cnt[u] = 0
         i = resume
+    return expect is None or k == len(expect)
 
 
 def _cells(lab: list[int], end: list[int]) -> tuple[tuple[int, ...], ...]:
@@ -242,8 +273,8 @@ class _IRSearch:
     canonical form, the leaf that first reaches it, and the generators
     found are those of the full traversal.  On Hoffman-Singleton
     (n = 50, |Aut| = 252,000) backjumping cuts the leaves visited from
-    5,172 to 26, on Paley(61) from 33 to 4.  There is no invariant
-    pruning.
+    5,172 to 26, on Paley(61) from 33 to 4.  Without a target there is
+    no invariant pruning.
 
     Every candidate automorphism is new, so all become generators and
     the search keeps no group.  A candidate's leaf parts from the first
@@ -254,25 +285,65 @@ class _IRSearch:
     path's child to v, been in their group, v would have been skipped.
     No generator comes from v's subtree before that leaf, since any match
     there jumps straight back to depth d.
+
+    With a ``target``, the split trace of another graph's canonical path
+    depth by depth (``path_trace``) and that graph's certificate, the
+    search looks only for the leaf with that certificate.  A child is
+    dropped at the first split of its refinement that the trace of its
+    depth lacks, and is not marked searched; the first leaf with the
+    target certificate ends the search and becomes ``best``.  When the
+    graphs are isomorphic, that leaf is this graph's canonical leaf:
+
+    - With the touched cells taken in position order, ``_refine`` is
+      label-equivariant.  A leaf with the target certificate gives an
+      isomorphism from the other graph that maps its canonical path onto
+      the leaf's path, so that leaf has the target's trace at every
+      depth, and no leaf under a dropped child has the certificate.
+    - Orbit pruning and backjumping skip only automorphic images of
+      leaves that come earlier in unpruned depth-first order.  Those
+      leaves were met without ending the search or lie under dropped
+      children, so none has the target certificate, and the leaf found
+      is the first in that order that has it.  Trace mode lays out the
+      same cells in the same vertex order, so the order is the canonical
+      search's, and the canonical leaf is the first leaf in it with the
+      least certificate, which is the target's.
     """
 
-    def __init__(self, g: Graph) -> None:
+    def __init__(self, g: Graph, target: Optional[tuple[list[list[tuple[int, int]]], bytes]] = None) -> None:
         if g.n < 1:
             raise ValueError("graph must have at least one vertex")
         self.g = g
         self.nbrs = [g.neighbors(v) for v in range(g.n)]
+        self.trace, self.target_cert = target if target is not None else (None, None)
         self.gens: list[Permutation] = []
         self.first: Optional[tuple[Permutation, bytes]] = None
         self.first_prefix: tuple[int, ...] = ()
+        # the canonical leaf so far, or with a target the leaf that has its certificate
         self.best: Optional[tuple[Permutation, bytes]] = None
 
-    def run(self) -> tuple[tuple[Permutation, ...], Permutation, bytes]:
+    def run(self) -> tuple[tuple[Permutation, ...], Optional[tuple[Permutation, bytes]]]:
         # one list of dirty flags serves every refinement: each ends clean
         lab, end, cellof, self.dirty = _flatten(self.g.n, [range(self.g.n)])
-        _refine(self.nbrs, lab, end, cellof, self.dirty, 0)
-        self._node(lab, end, cellof, ())
-        assert self.best is not None
-        return tuple(self.gens), self.best[0], self.best[1]
+        if _refine(self.nbrs, lab, end, cellof, self.dirty, 0, None, self.trace[0] if self.trace else None):
+            self._node(lab, end, cellof, ())
+        return tuple(self.gens), self.best
+
+    def path_trace(self, order: list[int]) -> list[list[tuple[int, int]]]:
+        """Split trace, depth by depth, of the path to the leaf whose
+        discrete partition is the vertex order ``order``.  A vertex
+        individualized at a cell's start stays there, so the path takes
+        ``order[t]`` at each target cell start t."""
+        lab, end, cellof, self.dirty = _flatten(self.g.n, [range(self.g.n)])
+        trace: list[list[tuple[int, int]]] = [[]]
+        _refine(self.nbrs, lab, end, cellof, self.dirty, 0, trace[0])
+        target = self._target_cell(end)
+        while target is not None:
+            lab, end, cellof = self._child(lab, end, cellof, target, order[target])
+            trace.append([])
+            _refine(self.nbrs, lab, end, cellof, self.dirty, target, trace[-1])
+            target = self._target_cell(end)
+        assert lab == order, "order is not a leaf of the search tree"
+        return trace
 
     @staticmethod
     def _target_cell(end: list[int]) -> Optional[int]:
@@ -286,35 +357,44 @@ class _IRSearch:
             i = end[i]
         return best
 
-    def _node(self, lab: list[int], end: list[int], cellof: list[int], prefix: tuple[int, ...]) -> int:
-        """Search the subtree; return the depth of the node to resume at.
+    def _child(
+        self, lab: list[int], end: list[int], cellof: list[int], target: int, v: int
+    ) -> tuple[list[int], list[int], list[int]]:
+        """Copies of the partition with v, a vertex of the cell that starts
+        at ``target``, individualized: v alone at the cell's start, then
+        the rest of the cell, both cells dirty.
 
-        The node's partition is equitable, so each child refines from the
-        two cells that individualizing v creates: v alone at the target
-        cell's start, then the rest of the target cell.  Every other cell
-        c is a cell of this node, and every child cell lies inside a cell
-        of this node, whose vertices all have equally many neighbours in
-        c; so c splits nothing, and only the two new cells start dirty."""
+        When the partition is equitable, only those two cells need to
+        start dirty: every other cell c is a cell of the parent, and every
+        child cell lies inside a cell of the parent, whose vertices all
+        have equally many neighbours in c; so c splits nothing."""
+        stop = end[target]
+        rest = [u for u in lab[target:stop] if u != v]
+        child_lab, child_end, child_cellof = lab[:], end[:], cellof[:]
+        child_lab[target] = v
+        child_lab[target + 1:stop] = rest
+        child_end[target] = target + 1
+        child_end[target + 1] = stop
+        for u in rest:
+            child_cellof[u] = target + 1
+        self.dirty[target] = self.dirty[target + 1] = True
+        return child_lab, child_end, child_cellof
+
+    def _node(self, lab: list[int], end: list[int], cellof: list[int], prefix: tuple[int, ...]) -> int:
+        """Search the subtree of a node with an equitable partition; return
+        the depth of the node to resume at, -1 to end the search."""
         target = self._target_cell(end)
         if target is None:
             return self._leaf(lab, prefix)
         depth = len(prefix)
-        stop = end[target]
-        cell = lab[target:stop]
+        expect = self.trace[depth + 1] if self.trace else None
         covered: set[int] = set()
-        for v in cell:
+        for v in lab[target:end[target]]:
             if v in covered:
                 continue
-            rest = [u for u in cell if u != v]
-            child_lab, child_end, child_cellof = lab[:], end[:], cellof[:]
-            child_lab[target] = v
-            child_lab[target + 1:stop] = rest
-            child_end[target] = target + 1
-            child_end[target + 1] = stop
-            for u in rest:
-                child_cellof[u] = target + 1
-            self.dirty[target] = self.dirty[target + 1] = True
-            _refine(self.nbrs, child_lab, child_end, child_cellof, self.dirty, target)
+            child_lab, child_end, child_cellof = self._child(lab, end, cellof, target, v)
+            if not _refine(self.nbrs, child_lab, child_end, child_cellof, self.dirty, target, None, expect):
+                continue
             jump = self._node(child_lab, child_end, child_cellof, prefix + (v,))
             if jump < depth:
                 return jump
@@ -342,13 +422,17 @@ class _IRSearch:
 
     def _leaf(self, order: list[int], prefix: tuple[int, ...]) -> int:
         """Record the leaf, whose discrete partition is the vertex order
-        ``order``; return the depth of the node to resume at."""
+        ``order``; return the depth of the node to resume at, -1 to end
+        the search."""
         jump = len(prefix)
         cert = _cert_bytes(self.g, order)
         images = [0] * self.g.n
         for pos, v in enumerate(order):
             images[v] = pos
         lab = Permutation(images)
+        if cert == self.target_cert:
+            self.best = (lab, cert)
+            return -1
         if self.first is None:
             self.first = (lab, cert)
             self.first_prefix = prefix
@@ -359,7 +443,7 @@ class _IRSearch:
             jump = 0
             while prefix[jump] == self.first_prefix[jump]:
                 jump += 1
-        if self.best is None or cert < self.best[1]:
+        if self.target_cert is None and (self.best is None or cert < self.best[1]):
             self.best = (lab, cert)
         return jump
 
@@ -370,7 +454,7 @@ def automorphism_group(g: Graph) -> tuple[Permutation, ...]:
     Rigid graphs yield ``(identity,)`` so that the result is always a
     valid nonempty generator list.
     """
-    gens, _, _ = _IRSearch(g).run()
+    gens, _ = _IRSearch(g).run()
     if not gens:
         return (Permutation.identity(g.n),)
     return gens
@@ -380,20 +464,29 @@ def canonical_form(g: Graph) -> CanonicalForm:
     """Canonical form of g: the lexicographically smallest upper-triangle
     adjacency bitstring over all leaves of the refinement tree, with a
     relabelling that realizes it."""
-    _, lab, cert = _IRSearch(g).run()
-    return CanonicalForm(lab, cert)
+    _, best = _IRSearch(g).run()
+    assert best is not None
+    return CanonicalForm(*best)
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> Optional[Permutation]:
     """An explicit isomorphism g1 -> g2 (verified before returning), or
-    None when the canonical certificates differ."""
+    None when the graphs are not isomorphic.
+
+    Only g1 gets a canonical form.  The search of g2 looks for the leaf
+    with g1's certificate, and drops every child whose split trace leaves
+    that of g1's canonical path (see ``_IRSearch``): the leaf it finds is
+    the one ``canonical_form(g2)`` returns, so the mapping is
+    ``canonical_form(g1).relabeling * canonical_form(g2).relabeling.inverse()``,
+    and no leaf is found exactly when the canonical certificates differ."""
     if g1.n != g2.n or edge_count(g1) != edge_count(g2):
         return None
     c1 = canonical_form(g1)
-    c2 = canonical_form(g2)
-    if c1.certificate != c2.certificate:
+    order = list(c1.relabeling.inverse().images)
+    _, leaf = _IRSearch(g2, (_IRSearch(g1).path_trace(order), c1.certificate)).run()
+    if leaf is None:
         return None
-    sigma = c1.relabeling * c2.relabeling.inverse()
+    sigma = c1.relabeling * leaf[0].inverse()
     if permute_graph(g1, sigma).adj != g2.adj:
         raise RuntimeError("certificate collision without an isomorphism; this is a bug")
     return sigma

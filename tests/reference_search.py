@@ -4,11 +4,15 @@ so that differential tests can catch a bug in either.
 
 ``_refine_cells`` rescans every splitter from the first cell after each
 split; ``_cert_bytes`` packs the certificate one bit at a time.  Both are
-slow, so keep their inputs small."""
+slow, so keep their inputs small.  ``are_isomorphic`` compares two full
+canonical forms, where the fast one searches the second graph only for
+the first graph's canonical leaf."""
 
 from __future__ import annotations
 
-from autkit import Graph
+from typing import Optional
+
+from autkit import Graph, Permutation, canonical_form, edge_count, permute_graph
 
 
 def _refine_cells(g: Graph, cells: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -63,3 +67,17 @@ def _cert_bytes(g: Graph, order: list[int]) -> bytes:
     if nbits:
         out.append(acc << (8 - nbits))
     return bytes(out)
+
+
+def are_isomorphic(g1: Graph, g2: Graph) -> Optional[Permutation]:
+    """The isomorphism g1 -> g2 that maps g1's canonical labelling onto
+    g2's, or None when the canonical certificates differ."""
+    if g1.n != g2.n or edge_count(g1) != edge_count(g2):
+        return None
+    c1 = canonical_form(g1)
+    c2 = canonical_form(g2)
+    if c1.certificate != c2.certificate:
+        return None
+    sigma = c1.relabeling * c2.relabeling.inverse()
+    assert permute_graph(g1, sigma).adj == g2.adj
+    return sigma

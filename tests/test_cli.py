@@ -154,6 +154,19 @@ def test_iso_non_isomorphic(tmp_path):
     assert proc.stdout.strip() == "non-isomorphic"
 
 
+def test_iso_non_isomorphic_cubic_pair(tmp_path):
+    # Petersen and the pentagonal prism are both cubic on 10 vertices with
+    # 15 edges, so the edge-count shortcut passes and the search decides
+    a = tmp_path / "petersen.g6"
+    b = tmp_path / "prism.g6"
+    a.write_text(graph6_encode(petersen_subsets()) + "\n")
+    b.write_text("IheAHCPBG\n")
+    assert edge_count(graph6_decode("IheAHCPBG")) == 15
+    proc = run_cli(["iso", str(a), str(b)])
+    assert proc.returncode == 1
+    assert proc.stdout == "non-isomorphic\n"
+
+
 def test_iso_rejects_stdin_for_both_inputs():
     # stdin can be read once; the second read would see empty text
     proc = run_cli(["iso", "-", "-"], stdin_text=graph6_encode(petersen_subsets()))

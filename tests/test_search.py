@@ -179,10 +179,11 @@ def test_refine_cells_matches_reference_on_search_partitions(g, monkeypatch):
     calls = []
     fast = search._refine
 
-    def recording(nbrs, lab, end, cellof, dirty, i):
+    def recording(nbrs, lab, end, cellof, dirty, i, *trace):
         cells = search._cells(lab, end)
-        fast(nbrs, lab, end, cellof, dirty, i)
+        done = fast(nbrs, lab, end, cellof, dirty, i, *trace)
         calls.append((cells, search._cells(lab, end)))
+        return done
 
     monkeypatch.setattr(search, "_refine", recording)
     canonical_form(g)
@@ -333,6 +334,113 @@ def test_are_isomorphic_random_relabelings():
         sigma = are_isomorphic(g, h)
         assert sigma is not None
         assert permute_graph(g, sigma).adj == h.adj
+
+
+def iso_corpus(family):
+    """Pairs of graphs for the differential test of ``are_isomorphic``,
+    seeded by the family name: relabelled copies, and independent draws
+    with as many vertices and edges, so that the search decides them."""
+    rng = random.Random(f"iso/{family}")
+    if family == "random":
+        pairs = []
+        for _ in range(200):
+            n = rng.randint(1, 8)
+            g = random_graph(rng, n, rng.choice((0.25, 0.5, 0.75)))
+            edges = rng.sample(list(itertools.combinations(range(n), 2)), edge_count(g))
+            pairs += [(g, shuffled(g, rng)), (g, Graph.from_edges(n, edges))]
+        return pairs
+    if family.startswith("cubic-"):
+        n = int(family[len("cubic-"):])
+        pairs = []
+        for _ in range(8):
+            g = random_cubic(rng, n)
+            pairs += [(g, shuffled(g, rng)), (g, random_cubic(rng, n))]
+        return pairs
+    if family.startswith("CFI("):
+        h = CFI_BASES[family[len("CFI("):-1]][0]
+        g, twisted = cfi(h), cfi(h, twisted=True)
+        return [(g, shuffled(g, rng)), (g, twisted), (g, shuffled(twisted, rng))]
+    g = {"K(7,3)": kneser(7, 3), "J(7,3,1)": johnson_general(7, 3, 1), "edgeless-12": Graph(12, (0,) * 12)}[family]
+    return [(g, shuffled(g, rng)) for _ in range(4)]
+
+
+@pytest.mark.parametrize(
+    "family",
+    ["random", "cubic-20", "cubic-36", "cubic-50", "K(7,3)", "J(7,3,1)", "edgeless-12",
+     "CFI(K4)", "CFI(Q3)", "CFI(petersen)"],
+)
+def test_are_isomorphic_matches_two_canonical_forms(family):
+    # The mapping, not only the verdict: the search of the second graph
+    # must find the leaf its own canonical form returns, which a graph
+    # with automorphisms shows and a rigid one cannot.
+    isomorphic = 0
+    for g, h in iso_corpus(family):
+        want = reference_search.are_isomorphic(g, h)
+        assert are_isomorphic(g, h) == want
+        isomorphic += want is not None
+    assert isomorphic > 0
+
+
+def test_target_search_leaf_counts(monkeypatch):
+    # the search of the second graph reaches only the leaf it returns,
+    # and no leaf at all on a non-isomorphic rigid pair with equal n and m
+    visited = []
+    leaf = search._IRSearch._leaf
+
+    def counting(self, order, prefix):
+        if self.target_cert is not None:
+            visited.append(order)
+        return leaf(self, order, prefix)
+
+    monkeypatch.setattr(search._IRSearch, "_leaf", counting)
+    a = graph6_decode(ISO_GOLDEN_CUBIC[0])
+    b = graph6_decode(ISO_GOLDEN_CUBIC[1])
+    assert are_isomorphic(a, b) is not None
+    assert len(visited) == 1
+    other = GOLDEN_CANON["cubic-36-b"][0]
+    assert (other.n, edge_count(other)) == (CUBIC_36.n, edge_count(CUBIC_36))
+    assert are_isomorphic(CUBIC_36, other) is None
+    assert len(visited) == 1
+
+
+def refine_individualized(g, v, trace=None, expect=None):
+    """Refine g's partition [{v}, the rest] to equitable; return what
+    ``_refine`` returns and the dirty flags it leaves."""
+    rest = [u for u in range(g.n) if u != v]
+    lab, end, cellof, dirty = search._flatten(g.n, [(v,), rest] if rest else [(v,)])
+    done = search._refine([g.neighbors(u) for u in range(g.n)], lab, end, cellof, dirty, 0, trace, expect)
+    return done, dirty
+
+
+def individualized_trace(g, v):
+    trace = []
+    assert refine_individualized(g, v, trace)[0]
+    return trace
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_split_trace_is_label_invariant(data):
+    # the trace of the target search must not depend on vertex labels, or
+    # an isomorphic graph's leaf could be cut; cells are touched in set
+    # order otherwise, which differs once cell starts pass 8
+    n = data.draw(st.integers(1, 24))
+    g = random_graph(data.draw(st.randoms(use_true_random=False)), n, data.draw(st.sampled_from((0.1, 0.2, 0.5))))
+    v = data.draw(st.integers(0, n - 1))
+    relabel = Permutation(data.draw(st.permutations(range(n))))
+    trace = individualized_trace(g, v)
+    assert individualized_trace(permute_graph(g, relabel), relabel(v)) == trace
+    assert refine_individualized(permute_graph(g, relabel), relabel(v), expect=trace)[0]
+
+
+def test_refine_stops_where_the_expected_trace_differs():
+    trace = individualized_trace(CUBIC_36, 0)
+    assert len(trace) > 2
+    count, end = trace[1]
+    for expect in (trace[:1] + [(count + 1, end)] + trace[2:], trace + [(1, 1)], []):
+        done, dirty = refine_individualized(CUBIC_36, 0, expect=expect)
+        assert not done
+        assert not any(dirty)
 
 
 # ------------------------------------------------------------ brute force
@@ -674,20 +782,42 @@ def test_aut_golden_edgeless_40():
     assert (proc.returncode, proc.stdout) == (0, expected)
 
 
+# a cubic graph on 36 vertices and a random relabelling of it
+ISO_GOLDEN_CUBIC = (
+    "c__??O?????AOO?O?A?G?C???@?@?@???_?@??@OC?_?aO?K?@??AC????U?D@?????a??D_???OO?O@????AGG??@@???SO??A?I????G",
+    "cA??G???KGAC??K??C????A???GA????I???G?CO?@??G?_??S??_?_CO?????PO???@oCQ???O?a??O@?@A???g?A@_??AA?C??GAO???",
+)
+
+
 def test_iso_mapping_golden(tmp_path):
-    # a cubic graph on 36 vertices and a random relabelling of it
     a = tmp_path / "a.g6"
     b = tmp_path / "b.g6"
-    a.write_text(
-        "c__??O?????AOO?O?A?G?C???@?@?@???_?@??@OC?_?aO?K?@??AC????U?D@?????a??D_???OO?O@????AGG??@@???SO??A?I????G\n"
-    )
-    b.write_text(
-        "cA??G???KGAC??K??C????A???GA????I???G?CO?@??G?_??S??_?_CO?????PO???@oCQ???O?a??O@?@A???g?A@_??AA?C??GAO???\n"
-    )
+    a.write_text(ISO_GOLDEN_CUBIC[0] + "\n")
+    b.write_text(ISO_GOLDEN_CUBIC[1] + "\n")
     proc = run_cli(["iso", str(a), str(b)])
     assert proc.returncode == 0
     assert proc.stdout == (
         "1->19 2->26 3->1 4->6 5->8 6->14 7->34 8->24 9->32 10->16 11->36 12->22 13->29 14->18 15->31 16->4 "
         "17->30 18->17 19->15 20->21 21->33 22->28 23->12 24->25 25->11 26->2 27->23 28->5 29->9 30->20 "
         "31->10 32->27 33->13 34->3 35->35 36->7\n"
+    )
+
+
+def test_iso_mapping_golden_with_automorphisms(tmp_path):
+    # Pinned from the search that canonicalized both graphs.  K(7,3) has
+    # 5,040 automorphisms, hence as many mappings: only the leaf the
+    # second graph's canonical form returns gives this one.
+    g = kneser(7, 3)
+    images = list(range(g.n))
+    random.Random(0).shuffle(images)
+    a = tmp_path / "a.g6"
+    b = tmp_path / "b.g6"
+    a.write_text(graph6_encode(g) + "\n")
+    b.write_text(graph6_encode(permute_graph(g, Permutation(images))) + "\n")
+    proc = run_cli(["iso", str(a), str(b)])
+    assert proc.returncode == 0
+    assert proc.stdout == (
+        "1->1 2->30 3->5 4->9 5->7 6->21 7->28 8->8 9->11 10->19 11->20 12->29 13->4 14->12 15->34 16->33 "
+        "17->18 18->6 19->23 20->17 21->26 22->27 23->10 24->3 25->13 26->24 27->14 28->15 29->22 30->35 "
+        "31->2 32->16 33->25 34->31 35->32\n"
     )
