@@ -4,8 +4,9 @@ backtracking, plus an exhaustive brute-force oracle."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .graphs import Graph, edge_count, permute_graph
 from .perms import CapacityError, Permutation
@@ -24,6 +25,11 @@ __all__ = [
 #: maps that abandons a partial map as soon as it breaks adjacency
 BRUTE_FORCE_MAX_VERTICES = 10
 
+#: a split trace: the (neighbour count, end) of each fragment one refinement makes
+_Trace = list[tuple[int, int]]
+#: a leaf of the search: its vertex order, certificate, and the trace of each depth
+_Leaf = tuple[list[int], bytes, tuple[_Trace, ...]]
+
 
 @dataclass(frozen=True)
 class OrderedPartition:
@@ -32,17 +38,24 @@ class OrderedPartition:
     cells: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cells", tuple(tuple(cell) for cell in self.cells))
+        cells: list[tuple[int, ...]] = []
         seen: set[int] = set()
-        for cell in self.cells:
+        for cell in map(tuple, self.cells):
             if not cell:
                 raise ValueError("partition cells must be nonempty")
             for v in cell:
+                try:
+                    # an exact int, as in Permutation: 0.0 == 0 would pass the checks below
+                    v = operator.index(v)
+                except TypeError:
+                    raise ValueError(f"vertex {v!r} is not an integer") from None
                 if v < 0:
                     raise ValueError(f"negative vertex {v}")
                 if v in seen:
                     raise ValueError(f"vertex {v} appears in more than one cell")
                 seen.add(v)
+            cells.append(tuple(map(operator.index, cell)))
+        object.__setattr__(self, "cells", tuple(cells))
 
     @classmethod
     def unit(cls, n: int) -> OrderedPartition:
@@ -73,8 +86,8 @@ def _refine(
     cellof: list[int],
     dirty: list[bool],
     i: int,
-    trace: Optional[list[tuple[int, int]]] = None,
-    expect: Optional[list[tuple[int, int]]] = None,
+    trace: _Trace,
+    expect: Optional[_Trace] = None,
 ) -> bool:
     """Refine a flat partition in place to the fixpoint of splitting
     every cell by neighbour counts into every splitter cell.
@@ -98,31 +111,26 @@ def _refine(
 
     The splitter's neighbour counts are tallied from the neighbour lists
     ``nbrs`` into ``cnt``, zeroed again after each splitter, and only the
-    non-singleton cells those neighbours touch are checked: in a cell
-    that no neighbour of the splitter touches every vertex has count 0,
-    so it cannot split.  After a split the scan resumes at the earliest
-    fragment or at the next cell, whichever comes first; every cell
-    before that point is clean.
+    non-singleton cells those neighbours touch are checked, in position
+    order: in a cell that no neighbour of the splitter touches every
+    vertex has count 0, so it cannot split.  After a split the scan
+    resumes at the earliest fragment or at the next cell, whichever comes
+    first; every cell before that point is clean.
 
     The caller passes as ``i`` a position at or before the first dirty
     cell.  On return no cell is dirty.
 
-    The split trace is the (neighbour count, end) of every fragment in
-    the order the fragments are made.  With ``trace`` or ``expect``
-    given, the cells a splitter touches are taken in position order, not
-    in set order, which depends on the vertex labels; the refinement is
-    then label-equivariant, trace included: relabelling the graph and the
-    partition's cells alike leaves the trace unchanged.  The cells come
-    out the same either way, since each touched cell splits by the same
-    counts on its own.  Each fragment is appended to ``trace``, or must
-    be the next entry of ``expect``: at the first that is not, every
+    The (neighbour count, end) of every fragment is appended to
+    ``trace`` in the order the fragments are made.  Nothing in that order
+    depends on the vertex labels, so the refinement is label-equivariant,
+    trace included: relabelling the graph and the partition's cells alike
+    leaves the trace unchanged.  With ``expect`` given, the trace must
+    come out equal to it: at the first fragment that breaks it, every
     dirty flag is cleared and False returned, as it is when ``expect``
     has entries left over at the end."""
     n = len(lab)
     cnt = [0] * n
     get = cnt.__getitem__
-    ordered = trace is not None or expect is not None
-    k = 0
     while i < n:
         e = end[i]
         if not dirty[i]:
@@ -133,8 +141,7 @@ def _refine(
         for u in touched:
             cnt[u] += 1
         resume = e
-        cells = set(map(cellof.__getitem__, touched))
-        for c in sorted(cells) if ordered else cells:
+        for c in sorted(set(map(cellof.__getitem__, touched))):
             ce = end[c]
             if ce - c == 1:
                 continue
@@ -148,14 +155,10 @@ def _refine(
             lab[c:ce] = sorted(cell, key=get, reverse=True)
             for key in sorted(set(counts), reverse=True):
                 fe = c + counts.count(key)
-                if ordered:
-                    if expect is None:
-                        trace.append((key, fe))
-                    elif k < len(expect) and expect[k] == (key, fe):
-                        k += 1
-                    else:
-                        dirty[:] = [False] * n
-                        return False
+                if expect is not None and (len(trace) == len(expect) or expect[len(trace)] != (key, fe)):
+                    dirty[:] = [False] * n
+                    return False
+                trace.append((key, fe))
                 end[c] = fe
                 dirty[c] = True
                 for u in lab[c:fe]:
@@ -164,7 +167,7 @@ def _refine(
         for u in touched:
             cnt[u] = 0
         i = resume
-    return expect is None or k == len(expect)
+    return expect is None or len(trace) == len(expect)
 
 
 def _cells(lab: list[int], end: list[int]) -> tuple[tuple[int, ...], ...]:
@@ -200,29 +203,26 @@ def refine(g: Graph, p: OrderedPartition) -> OrderedPartition:
     every cell.  Idempotent, never coarsens, deterministic cell order."""
     _check_covers(g, p)
     lab, end, cellof, dirty = _flatten(g.n, p.cells)
-    _refine([g.neighbors(v) for v in range(g.n)], lab, end, cellof, dirty, 0)
+    _refine([g.neighbors(v) for v in range(g.n)], lab, end, cellof, dirty, 0, [])
     return OrderedPartition(_cells(lab, end))
 
 
-def _cert_bytes(g: Graph, order: list[int]) -> bytes:
-    """Upper-triangle adjacency bits of the graph relabelled so that
-    ``order[i]`` lands at position i, packed row-major, MSB first, zero
-    padded to whole bytes.
+def _cert_bytes(nbrs: list[tuple[int, ...]], order: list[int]) -> bytes:
+    """Upper-triangle adjacency bits of the graph with neighbour lists
+    ``nbrs`` relabelled so that ``order[i]`` lands at position i, packed
+    row-major, MSB first, zero padded to whole bytes.
 
     A vertex's relabelled row has bit n-1-j set when the vertex is
     adjacent to ``order[j]``.  The bits of row i right of the diagonal
     are then the low n-1-i bits of the row of ``order[i]``, already in
     certificate order, so one shift-or per row appends them: O(n + m)
     steps per leaf instead of O(n^2)."""
-    n = g.n
+    n = len(order)
     rows = [0] * n
     for i, v in enumerate(order):
         bit = 1 << (n - 1 - i)
-        nbrs = g.adj[v]
-        while nbrs:
-            low = nbrs & -nbrs
-            rows[low.bit_length() - 1] |= bit
-            nbrs ^= low
+        for u in nbrs[v]:
+            rows[u] |= bit
     acc = 0
     for i, v in enumerate(order):
         width = n - 1 - i
@@ -230,6 +230,14 @@ def _cert_bytes(g: Graph, order: list[int]) -> bytes:
     nbits = n * (n - 1) // 2
     pad = -nbits % 8
     return (acc << pad).to_bytes((nbits + pad) // 8, "big")
+
+
+def _mapping(source: Sequence[int], target: Sequence[int]) -> Permutation:
+    """The permutation that maps each ``source[i]`` to ``target[i]``."""
+    images = [0] * len(source)
+    for v, w in zip(source, target):
+        images[v] = w
+    return Permutation(images)
 
 
 @dataclass(frozen=True)
@@ -286,64 +294,50 @@ class _IRSearch:
     No generator comes from v's subtree before that leaf, since any match
     there jumps straight back to depth d.
 
-    With a ``target``, the split trace of another graph's canonical path
-    depth by depth (``path_trace``) and that graph's certificate, the
-    search looks only for the leaf with that certificate.  A child is
-    dropped at the first split of its refinement that the trace of its
-    depth lacks, and is not marked searched; the first leaf with the
-    target certificate ends the search and becomes ``best``.  When the
-    graphs are isomorphic, that leaf is this graph's canonical leaf:
+    Each leaf is kept as its vertex order, and ``best`` also keeps the
+    split traces of the refinements on its path, one list per depth.
+    With a ``target``, such a trace and certificate of another graph's
+    canonical leaf, the search looks only for the leaf with that
+    certificate.  A child is dropped at the first split of its
+    refinement that the trace of its depth lacks, and is not marked
+    searched; the first leaf with the target certificate ends the search
+    and becomes ``best``.  When the graphs are isomorphic, that leaf is
+    this graph's canonical leaf:
 
-    - With the touched cells taken in position order, ``_refine`` is
-      label-equivariant.  A leaf with the target certificate gives an
-      isomorphism from the other graph that maps its canonical path onto
-      the leaf's path, so that leaf has the target's trace at every
-      depth, and no leaf under a dropped child has the certificate.
+    - ``_refine`` is label-equivariant.  A leaf with the target
+      certificate gives an isomorphism from the other graph that maps
+      its canonical path onto the leaf's path, so that leaf has the
+      target's trace at every depth, and no leaf under a dropped child
+      has the certificate.
     - Orbit pruning and backjumping skip only automorphic images of
       leaves that come earlier in unpruned depth-first order.  Those
       leaves were met without ending the search or lie under dropped
       children, so none has the target certificate, and the leaf found
-      is the first in that order that has it.  Trace mode lays out the
-      same cells in the same vertex order, so the order is the canonical
-      search's, and the canonical leaf is the first leaf in it with the
-      least certificate, which is the target's.
+      is the first in that order that has it.  The canonical search is
+      the same code without a target, so it walks the same tree in the
+      same order, and its canonical leaf is the first leaf in that order
+      with the least certificate, which is the target's.
     """
 
-    def __init__(self, g: Graph, target: Optional[tuple[list[list[tuple[int, int]]], bytes]] = None) -> None:
+    def __init__(self, g: Graph, target: Optional[tuple[Sequence[_Trace], bytes]] = None) -> None:
         if g.n < 1:
             raise ValueError("graph must have at least one vertex")
-        self.g = g
         self.nbrs = [g.neighbors(v) for v in range(g.n)]
-        self.trace, self.target_cert = target if target is not None else (None, None)
+        self.target_trace, self.target_cert = target if target is not None else (None, None)
         self.gens: list[Permutation] = []
-        self.first: Optional[tuple[Permutation, bytes]] = None
+        self.first: Optional[tuple[list[int], bytes]] = None
         self.first_prefix: tuple[int, ...] = ()
         # the canonical leaf so far, or with a target the leaf that has its certificate
-        self.best: Optional[tuple[Permutation, bytes]] = None
+        self.best: Optional[_Leaf] = None
 
-    def run(self) -> tuple[tuple[Permutation, ...], Optional[tuple[Permutation, bytes]]]:
+    def run(self) -> tuple[tuple[Permutation, ...], Optional[_Leaf]]:
         # one list of dirty flags serves every refinement: each ends clean
-        lab, end, cellof, self.dirty = _flatten(self.g.n, [range(self.g.n)])
-        if _refine(self.nbrs, lab, end, cellof, self.dirty, 0, None, self.trace[0] if self.trace else None):
-            self._node(lab, end, cellof, ())
+        lab, end, cellof, self.dirty = _flatten(len(self.nbrs), [range(len(self.nbrs))])
+        trace: _Trace = []
+        expect = self.target_trace[0] if self.target_trace else None
+        if _refine(self.nbrs, lab, end, cellof, self.dirty, 0, trace, expect):
+            self._node(lab, end, cellof, (), (trace,))
         return tuple(self.gens), self.best
-
-    def path_trace(self, order: list[int]) -> list[list[tuple[int, int]]]:
-        """Split trace, depth by depth, of the path to the leaf whose
-        discrete partition is the vertex order ``order``.  A vertex
-        individualized at a cell's start stays there, so the path takes
-        ``order[t]`` at each target cell start t."""
-        lab, end, cellof, self.dirty = _flatten(self.g.n, [range(self.g.n)])
-        trace: list[list[tuple[int, int]]] = [[]]
-        _refine(self.nbrs, lab, end, cellof, self.dirty, 0, trace[0])
-        target = self._target_cell(end)
-        while target is not None:
-            lab, end, cellof = self._child(lab, end, cellof, target, order[target])
-            trace.append([])
-            _refine(self.nbrs, lab, end, cellof, self.dirty, target, trace[-1])
-            target = self._target_cell(end)
-        assert lab == order, "order is not a leaf of the search tree"
-        return trace
 
     @staticmethod
     def _target_cell(end: list[int]) -> Optional[int]:
@@ -357,45 +351,46 @@ class _IRSearch:
             i = end[i]
         return best
 
-    def _child(
-        self, lab: list[int], end: list[int], cellof: list[int], target: int, v: int
-    ) -> tuple[list[int], list[int], list[int]]:
-        """Copies of the partition with v, a vertex of the cell that starts
-        at ``target``, individualized: v alone at the cell's start, then
-        the rest of the cell, both cells dirty.
+    def _node(
+        self,
+        lab: list[int],
+        end: list[int],
+        cellof: list[int],
+        prefix: tuple[int, ...],
+        traces: tuple[_Trace, ...],
+    ) -> int:
+        """Search the subtree of a node with an equitable partition, reached
+        by individualizing ``prefix`` with split traces ``traces``; return
+        the depth of the node to resume at, -1 to end the search.
 
-        When the partition is equitable, only those two cells need to
-        start dirty: every other cell c is a cell of the parent, and every
-        child cell lies inside a cell of the parent, whose vertices all
-        have equally many neighbours in c; so c splits nothing."""
-        stop = end[target]
-        rest = [u for u in lab[target:stop] if u != v]
-        child_lab, child_end, child_cellof = lab[:], end[:], cellof[:]
-        child_lab[target] = v
-        child_lab[target + 1:stop] = rest
-        child_end[target] = target + 1
-        child_end[target + 1] = stop
-        for u in rest:
-            child_cellof[u] = target + 1
-        self.dirty[target] = self.dirty[target + 1] = True
-        return child_lab, child_end, child_cellof
-
-    def _node(self, lab: list[int], end: list[int], cellof: list[int], prefix: tuple[int, ...]) -> int:
-        """Search the subtree of a node with an equitable partition; return
-        the depth of the node to resume at, -1 to end the search."""
+        A child individualizes a vertex v of the target cell: v alone at
+        the cell's start, then the rest of the cell.  Only those two cells
+        start dirty: every other cell c is a cell of the node, and every
+        child cell lies inside a cell of the node, whose vertices all have
+        equally many neighbours in c; so c splits nothing."""
         target = self._target_cell(end)
         if target is None:
-            return self._leaf(lab, prefix)
+            return self._leaf(lab, prefix, traces)
         depth = len(prefix)
-        expect = self.trace[depth + 1] if self.trace else None
+        expect = self.target_trace[depth + 1] if self.target_trace else None
+        stop = end[target]
         covered: set[int] = set()
-        for v in lab[target:end[target]]:
+        for v in lab[target:stop]:
             if v in covered:
                 continue
-            child_lab, child_end, child_cellof = self._child(lab, end, cellof, target, v)
-            if not _refine(self.nbrs, child_lab, child_end, child_cellof, self.dirty, target, None, expect):
+            rest = [u for u in lab[target:stop] if u != v]
+            child_lab, child_end, child_cellof = lab[:], end[:], cellof[:]
+            child_lab[target] = v
+            child_lab[target + 1:stop] = rest
+            child_end[target] = target + 1
+            child_end[target + 1] = stop
+            for u in rest:
+                child_cellof[u] = target + 1
+            self.dirty[target] = self.dirty[target + 1] = True
+            trace: _Trace = []
+            if not _refine(self.nbrs, child_lab, child_end, child_cellof, self.dirty, target, trace, expect):
                 continue
-            jump = self._node(child_lab, child_end, child_cellof, prefix + (v,))
+            jump = self._node(child_lab, child_end, child_cellof, prefix + (v,), traces + (trace,))
             if jump < depth:
                 return jump
             covered.add(v)
@@ -420,31 +415,27 @@ class _IRSearch:
                     points.add(y)
                     stack.append(y)
 
-    def _leaf(self, order: list[int], prefix: tuple[int, ...]) -> int:
+    def _leaf(self, order: list[int], prefix: tuple[int, ...], traces: tuple[_Trace, ...]) -> int:
         """Record the leaf, whose discrete partition is the vertex order
         ``order``; return the depth of the node to resume at, -1 to end
         the search."""
         jump = len(prefix)
-        cert = _cert_bytes(self.g, order)
-        images = [0] * self.g.n
-        for pos, v in enumerate(order):
-            images[v] = pos
-        lab = Permutation(images)
+        cert = _cert_bytes(self.nbrs, order)
         if cert == self.target_cert:
-            self.best = (lab, cert)
+            self.best = (order, cert, traces)
             return -1
         if self.first is None:
-            self.first = (lab, cert)
+            self.first = (order, cert)
             self.first_prefix = prefix
         elif cert == self.first[1]:
-            self.gens.append(lab * self.first[0].inverse())
+            self.gens.append(_mapping(order, self.first[0]))
             # the new generator maps the first path onto this leaf's path:
             # resume at the node where the two paths part
             jump = 0
             while prefix[jump] == self.first_prefix[jump]:
                 jump += 1
         if self.target_cert is None and (self.best is None or cert < self.best[1]):
-            self.best = (lab, cert)
+            self.best = (order, cert, traces)
         return jump
 
 
@@ -466,27 +457,29 @@ def canonical_form(g: Graph) -> CanonicalForm:
     relabelling that realizes it."""
     _, best = _IRSearch(g).run()
     assert best is not None
-    return CanonicalForm(*best)
+    order, cert, _ = best
+    return CanonicalForm(_mapping(order, range(g.n)), cert)
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> Optional[Permutation]:
     """An explicit isomorphism g1 -> g2 (verified before returning), or
     None when the graphs are not isomorphic.
 
-    Only g1 gets a canonical form.  The search of g2 looks for the leaf
-    with g1's certificate, and drops every child whose split trace leaves
-    that of g1's canonical path (see ``_IRSearch``): the leaf it finds is
-    the one ``canonical_form(g2)`` returns, so the mapping is
-    ``canonical_form(g1).relabeling * canonical_form(g2).relabeling.inverse()``,
+    Only g1 gets a canonical search.  The search of g2 looks for the leaf
+    with g1's canonical certificate, and drops every child whose split
+    trace leaves the one g1's search kept for its canonical path (see
+    ``_IRSearch``): the leaf it finds is the one ``canonical_form(g2)``
+    returns, so the mapping takes g1's canonical vertex order onto g2's,
     and no leaf is found exactly when the canonical certificates differ."""
     if g1.n != g2.n or edge_count(g1) != edge_count(g2):
         return None
-    c1 = canonical_form(g1)
-    order = list(c1.relabeling.inverse().images)
-    _, leaf = _IRSearch(g2, (_IRSearch(g1).path_trace(order), c1.certificate)).run()
+    _, best = _IRSearch(g1).run()
+    assert best is not None
+    order, cert, traces = best
+    _, leaf = _IRSearch(g2, (traces, cert)).run()
     if leaf is None:
         return None
-    sigma = c1.relabeling * leaf[0].inverse()
+    sigma = _mapping(order, leaf[0])
     if permute_graph(g1, sigma).adj != g2.adj:
         raise RuntimeError("certificate collision without an isomorphism; this is a bug")
     return sigma

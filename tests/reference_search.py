@@ -6,12 +6,15 @@ so that differential tests can catch a bug in either.
 split; ``_cert_bytes`` packs the certificate one bit at a time.  Both are
 slow, so keep their inputs small.  ``are_isomorphic`` compares two full
 canonical forms, where the fast one searches the second graph only for
-the first graph's canonical leaf."""
+the first graph's canonical leaf.  ``path_trace`` replays the split
+traces of the refinements on one leaf's path, which the fast search
+keeps as it goes."""
 
 from __future__ import annotations
 
 from typing import Optional
 
+import autkit.search as search
 from autkit import Graph, Permutation, canonical_form, edge_count, permute_graph
 
 
@@ -81,3 +84,29 @@ def are_isomorphic(g1: Graph, g2: Graph) -> Optional[Permutation]:
     sigma = c1.relabeling * c2.relabeling.inverse()
     assert permute_graph(g1, sigma).adj == g2.adj
     return sigma
+
+
+def path_trace(g: Graph, order: list[int]) -> list[list[tuple[int, int]]]:
+    """Split trace, depth by depth, of the search's path to the leaf whose
+    discrete partition is the vertex order ``order``, replayed from the
+    root.  A vertex individualized at a cell's start stays there, so the
+    path takes ``order[t]`` at each target cell start t.  Each depth
+    refines from a partition with every cell dirty, where the search
+    marks only the two cells individualization makes; the other cells
+    split nothing, so the traces agree."""
+    nbrs = [g.neighbors(v) for v in range(g.n)]
+    cells = [tuple(range(g.n))]
+    trace: list[list[tuple[int, int]]] = []
+    while True:
+        lab, end, cellof, dirty = search._flatten(g.n, cells)
+        trace.append([])
+        search._refine(nbrs, lab, end, cellof, dirty, 0, trace[-1])
+        cells = list(search._cells(lab, end))
+        sizes = [len(cell) for cell in cells if len(cell) > 1]
+        if not sizes:
+            break
+        k = next(k for k, cell in enumerate(cells) if len(cell) == min(sizes))
+        v = order[sum(map(len, cells[:k]))]
+        cells[k:k + 1] = [(v,), tuple(u for u in cells[k] if u != v)]
+    assert lab == order, "order is not a leaf of the search tree"
+    return trace

@@ -71,6 +71,13 @@ def test_partition_validation():
         OrderedPartition(((0, 1), (1,)))
 
 
+def test_partition_rejects_non_integer_vertices(petersen):
+    # 0.0 == 0 and would pass the other checks; '9' would fail in sorted()
+    for cell in ((0.0, *range(1, 10)), (*range(9), "9")):
+        with pytest.raises(ValueError, match="is not an integer"):
+            refine(petersen, OrderedPartition((cell,)))
+
+
 def test_unit_and_discrete():
     assert OrderedPartition.unit(3).cells == ((0, 1, 2),)
     assert OrderedPartition.discrete(3).cells == ((0,), (1,), (2,))
@@ -205,7 +212,8 @@ def test_cert_bytes_matches_reference():
             for _ in range(3):
                 order = list(range(n))
                 rng.shuffle(order)
-                assert search._cert_bytes(g, order) == reference_search._cert_bytes(g, order)
+                nbrs = [g.neighbors(v) for v in range(n)]
+                assert search._cert_bytes(nbrs, order) == reference_search._cert_bytes(g, order)
     # both whole-byte bit counts (n = 1, 16, 17, 32, 33) and padded ones
     assert padded == {False, True}
 
@@ -387,10 +395,10 @@ def test_target_search_leaf_counts(monkeypatch):
     visited = []
     leaf = search._IRSearch._leaf
 
-    def counting(self, order, prefix):
+    def counting(self, order, *path):
         if self.target_cert is not None:
             visited.append(order)
-        return leaf(self, order, prefix)
+        return leaf(self, order, *path)
 
     monkeypatch.setattr(search._IRSearch, "_leaf", counting)
     a = graph6_decode(ISO_GOLDEN_CUBIC[0])
@@ -408,6 +416,7 @@ def refine_individualized(g, v, trace=None, expect=None):
     ``_refine`` returns and the dirty flags it leaves."""
     rest = [u for u in range(g.n) if u != v]
     lab, end, cellof, dirty = search._flatten(g.n, [(v,), rest] if rest else [(v,)])
+    trace = [] if trace is None else trace
     done = search._refine([g.neighbors(u) for u in range(g.n)], lab, end, cellof, dirty, 0, trace, expect)
     return done, dirty
 
@@ -422,8 +431,8 @@ def individualized_trace(g, v):
 @given(data=st.data())
 def test_split_trace_is_label_invariant(data):
     # the trace of the target search must not depend on vertex labels, or
-    # an isomorphic graph's leaf could be cut; cells are touched in set
-    # order otherwise, which differs once cell starts pass 8
+    # an isomorphic graph's leaf could be cut; touched cells taken in set
+    # order instead of position order would differ once cell starts pass 8
     n = data.draw(st.integers(1, 24))
     g = random_graph(data.draw(st.randoms(use_true_random=False)), n, data.draw(st.sampled_from((0.1, 0.2, 0.5))))
     v = data.draw(st.integers(0, n - 1))
@@ -431,6 +440,26 @@ def test_split_trace_is_label_invariant(data):
     trace = individualized_trace(g, v)
     assert individualized_trace(permute_graph(g, relabel), relabel(v)) == trace
     assert refine_individualized(permute_graph(g, relabel), relabel(v), expect=trace)[0]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["K(7,3)", "J(7,3,1)", "edgeless-12", "cubic-36", "CFI(Q3)"],
+)
+def test_kept_trace_matches_replay(name):
+    # the target search follows the trace the canonical search keeps for
+    # its best leaf, so it must be that leaf's own path trace
+    g = {
+        "K(7,3)": kneser(7, 3),
+        "J(7,3,1)": johnson_general(7, 3, 1),
+        "edgeless-12": Graph(12, (0,) * 12),
+        "cubic-36": CUBIC_36,
+        "CFI(Q3)": cfi(CFI_BASES["Q3"][0]),
+    }[name]
+    for h in (g, shuffled(g, random.Random(name))):
+        _, (order, cert, traces) = search._IRSearch(h).run()
+        assert cert == canonical_form(h).certificate
+        assert list(traces) == reference_search.path_trace(h, order)
 
 
 def test_refine_stops_where_the_expected_trace_differs():
@@ -599,10 +628,10 @@ def test_backjump_leaf_counts(g, leaves, monkeypatch):
     visited = 0
     leaf = search._IRSearch._leaf
 
-    def counting(self, order, prefix):
+    def counting(self, order, *path):
         nonlocal visited
         visited += 1
-        return leaf(self, order, prefix)
+        return leaf(self, order, *path)
 
     monkeypatch.setattr(search._IRSearch, "_leaf", counting)
     search._IRSearch(g).run()
