@@ -15,7 +15,6 @@ from typing import Optional
 
 from .graphs import (
     Graph,
-    Graph6Error,
     graph6_decode,
     graph6_encode,
     johnson_general,
@@ -46,14 +45,23 @@ def _emit(g: Graph, fmt: str) -> None:
         sys.stdout.write(to_dot(g))
 
 
-def _check_graph6_size(args: argparse.Namespace) -> None:
-    """Reject a subset family with more vertices than graph6 short form
-    holds before building it: C(18, 9) = 48,620 vertices would take
-    minutes to build only to be refused by ``graph6_encode``.  Invalid
-    parameters are left to the family's constructor and its message."""
+# Graph rows are as wide as their highest neighbour and validation builds a
+# transpose, so memory grows with n^2: K(18, 9) (48,620 vertices) peaks at
+# about 343 MB, and C(19, 9) = 92,378 vertices would need about 1.2 GB.
+_MAX_GEN_VERTICES = 50_000
+
+
+def _check_size(args: argparse.Namespace) -> None:
+    """Refuse a subset family before building it: past 62 vertices in
+    graph6, which ``graph6_encode`` would refuse after the build, and past
+    ``_MAX_GEN_VERTICES`` in any format.  Invalid parameters are left to
+    the family's constructor and its message."""
     valid = 0 <= args.k <= args.n and (args.t is None or 0 <= args.t < args.k)
-    if args.format == "graph6" and valid and math.comb(args.n, args.k) > 62:
+    count = math.comb(args.n, args.k) if valid else 0
+    if args.format == "graph6" and count > 62:
         raise ValueError("graph6 short form supports at most 62 vertices")
+    if count > _MAX_GEN_VERTICES:
+        raise ValueError(f"the graph would have {count} vertices; gen builds at most {_MAX_GEN_VERTICES}")
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -62,12 +70,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if family == "johnson":
         if given != {"-n", "-k", "-t"}:
             raise ValueError("johnson requires -n, -k and -t")
-        _check_graph6_size(args)
+        _check_size(args)
         g = johnson_general(args.n, args.k, args.t)
     elif family == "kneser":
         if given != {"-n", "-k"}:
             raise ValueError("kneser requires -n and -k (and no -t)")
-        _check_graph6_size(args)
+        _check_size(args)
         g = kneser(args.n, args.k)
     elif family == "petersen-subsets":
         if given:
@@ -191,10 +199,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (Graph6Error, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

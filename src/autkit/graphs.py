@@ -81,8 +81,9 @@ class Graph:
             if (bits >> v) & 1:
                 raise ValueError(f"loop at vertex {v}")
         # the transpose over set bits, O(n + m); on a mismatch the first
-        # asymmetric pair (u, v), u < v, in row-major order is the lowest
-        # bit above u in the first XOR row u that has one
+        # asymmetric pair (u, v), u < v, is the lowest set bit v of the first
+        # nonzero XOR row u: a differing bit w < u would make row w differ
+        # first, and bit u cannot differ, since loops are rejected above
         transpose = [0] * self.n
         for v, bits in enumerate(self.adj):
             column = 1 << v
@@ -91,12 +92,8 @@ class Graph:
                 transpose[low.bit_length() - 1] |= column
                 bits ^= low
         if tuple(transpose) != self.adj:
-            u, above = next(
-                (u, above)
-                for u, (row, col) in enumerate(zip(self.adj, transpose))
-                if (above := (row ^ col) >> (u + 1))
-            )
-            v = u + (above & -above).bit_length()
+            u, diff = next((u, r ^ c) for u, (r, c) in enumerate(zip(self.adj, transpose)) if r != c)
+            v = (diff & -diff).bit_length() - 1
             raise ValueError(f"adjacency not symmetric at ({u}, {v})")
         if self.labels is not None:
             if len(self.labels) != self.n:
@@ -115,8 +112,6 @@ class Graph:
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) outside 0..{n - 1}")
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         return cls(n, tuple(adj), tuple(labels) if labels is not None else None)

@@ -60,8 +60,6 @@ class Permutation:
         Points omitted from every cycle are fixed; an empty cycle list is
         the identity.
         """
-        if n < 1:
-            raise ValueError("permutation degree must be at least 1")
         images = list(range(n))
         seen: set[int] = set()
         for cycle in cycles:
@@ -84,12 +82,7 @@ class Permutation:
             raise ValueError("empty cycle notation")
         if _CYCLE_RE.sub("", stripped).strip():
             raise ValueError(f"malformed cycle notation: {text!r}")
-        cycles = []
-        for group in _CYCLE_RE.findall(stripped):
-            points = [int(tok) for tok in group.split()]
-            if points:
-                cycles.append(points)
-        return cls.from_cycles(n, cycles)
+        return cls.from_cycles(n, [list(map(int, group.split())) for group in _CYCLE_RE.findall(stripped)])
 
     @property
     def images(self) -> tuple[int, ...]:

@@ -40,21 +40,28 @@ class OrderedPartition:
     def __post_init__(self) -> None:
         cells: list[tuple[int, ...]] = []
         seen: set[int] = set()
-        for cell in map(tuple, self.cells):
-            if not cell:
-                raise ValueError("partition cells must be nonempty")
-            for v in cell:
-                try:
-                    # an exact int, as in Permutation: 0.0 == 0 would pass the checks below
-                    v = operator.index(v)
-                except TypeError:
-                    raise ValueError(f"vertex {v!r} is not an integer") from None
-                if v < 0:
-                    raise ValueError(f"negative vertex {v}")
-                if v in seen:
-                    raise ValueError(f"vertex {v} appears in more than one cell")
-                seen.add(v)
-            cells.append(tuple(map(operator.index, cell)))
+        cell = self.cells
+        try:
+            for cell in self.cells:
+                vertices = []
+                for v in cell:
+                    try:
+                        # an exact int, as in Permutation: 0.0 == 0 would pass the checks below
+                        v = operator.index(v)
+                    except TypeError:
+                        raise ValueError(f"vertex {v!r} is not an integer") from None
+                    if v < 0:
+                        raise ValueError(f"negative vertex {v}")
+                    if v in seen:
+                        raise ValueError(f"vertex {v} appears in more than one cell")
+                    seen.add(v)
+                    vertices.append(v)
+                if not vertices:
+                    raise ValueError("partition cells must be nonempty")
+                cells.append(tuple(vertices))
+        except TypeError:
+            kind = "partition" if cell is self.cells else "partition cell"
+            raise ValueError(f"{kind} {cell!r} is not iterable") from None
         object.__setattr__(self, "cells", tuple(cells))
 
     @classmethod

@@ -232,15 +232,15 @@ def verify_petersen(
     timings["image_order"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    aut_gens = automorphism_group(g)
-    aut_order_search = schreier_sims(aut_gens).order()
+    # the search needs a vertex; 0 means "not 120", as for the probes below
+    aut_order_search = schreier_sims(automorphism_group(g)).order() if g.n else 0
     timings["aut_search"] = time.perf_counter() - t0
 
     aut_order_brute: Optional[int] = None
     if run_brute:
         t0 = time.perf_counter()
         try:
-            aut_order_brute = len(brute_force_automorphisms(g))
+            aut_order_brute = len(brute_force_automorphisms(g)) if g.n else 0
         except CapacityError:
             # a probe graph past the scan's vertex cap; 0 means "not 120"
             aut_order_brute = 0

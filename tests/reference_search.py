@@ -7,22 +7,27 @@ split; ``_cert_bytes`` packs the certificate one bit at a time.  Both are
 slow, so keep their inputs small.  ``are_isomorphic`` compares two full
 canonical forms, where the fast one searches the second graph only for
 the first graph's canonical leaf.  ``path_trace`` replays the split
-traces of the refinements on one leaf's path, which the fast search
-keeps as it goes."""
+traces of the refinements on one leaf's path with ``_refine_cells``,
+where the fast search keeps them as it goes."""
 
 from __future__ import annotations
 
 from typing import Optional
 
-import autkit.search as search
 from autkit import Graph, Permutation, canonical_form, edge_count, permute_graph
 
 
-def _refine_cells(g: Graph, cells: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+def _refine_cells(
+    g: Graph,
+    cells: list[tuple[int, ...]],
+    trace: Optional[list[tuple[int, int]]] = None,
+) -> list[tuple[int, ...]]:
     """Fixpoint of splitting every cell by neighbour counts into every
     splitter cell.  After a split the fragments keep the relative vertex
     order and are emitted with the larger neighbour count first; any fixed
-    rule would do, this one is the deterministic contract."""
+    rule would do, this one is the deterministic contract.  With ``trace``
+    given, each fragment's (neighbour count, end position in the vertex
+    order) is appended to it in the order the fragments are made."""
     changed = True
     while changed:
         changed = False
@@ -43,6 +48,8 @@ def _refine_cells(g: Graph, cells: list[tuple[int, ...]]) -> list[tuple[int, ...
                     continue
                 for key in distinct:
                     new_cells.append(tuple(v for v in cell if counts[v] == key))
+                    if trace is not None:
+                        trace.append((key, sum(map(len, new_cells))))
                 split_here = True
             if split_here:
                 cells = new_cells
@@ -91,22 +98,19 @@ def path_trace(g: Graph, order: list[int]) -> list[list[tuple[int, int]]]:
     discrete partition is the vertex order ``order``, replayed from the
     root.  A vertex individualized at a cell's start stays there, so the
     path takes ``order[t]`` at each target cell start t.  Each depth
-    refines from a partition with every cell dirty, where the search
+    refines from a partition with every cell a splitter, where the search
     marks only the two cells individualization makes; the other cells
     split nothing, so the traces agree."""
-    nbrs = [g.neighbors(v) for v in range(g.n)]
     cells = [tuple(range(g.n))]
     trace: list[list[tuple[int, int]]] = []
     while True:
-        lab, end, cellof, dirty = search._flatten(g.n, cells)
         trace.append([])
-        search._refine(nbrs, lab, end, cellof, dirty, 0, trace[-1])
-        cells = list(search._cells(lab, end))
+        cells = _refine_cells(g, cells, trace[-1])
         sizes = [len(cell) for cell in cells if len(cell) > 1]
         if not sizes:
             break
         k = next(k for k, cell in enumerate(cells) if len(cell) == min(sizes))
         v = order[sum(map(len, cells[:k]))]
         cells[k:k + 1] = [(v,), tuple(u for u in cells[k] if u != v)]
-    assert lab == order, "order is not a leaf of the search tree"
+    assert [v for (v,) in cells] == order, "order is not a leaf of the search tree"
     return trace

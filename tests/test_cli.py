@@ -2,7 +2,11 @@ import contextlib
 import io
 import json
 
+import pytest
+
+import autkit.cli
 from autkit import (
+    Graph,
     Permutation,
     edge_count,
     graph6_decode,
@@ -71,6 +75,25 @@ def test_gen_rejects_a_family_past_graph6_before_building_it():
     proc = run_cli(["gen", "johnson", "-n", "10", "-k", "5", "-t", "7"])
     assert proc.returncode == 2
     assert proc.stderr == "error: need 0 <= t < k <= n, got n=10, k=5, t=7\n"
+
+
+def test_gen_rejects_a_family_past_the_vertex_cap_before_building_it(monkeypatch):
+    # memory grows with the square of the vertex count, so a family past
+    # the cap is refused in every format without running its constructor
+    for name in ("kneser", "johnson_general"):
+        monkeypatch.setattr(autkit.cli, name, lambda *args: pytest.fail("the family was built"))
+    for args, count in (
+        (["gen", "kneser", "-n", "19", "-k", "9", "--format", "dot"], 92378),
+        (["gen", "johnson", "-n", "40", "-k", "20", "-t", "3", "--format", "dot"], 137846528820),
+    ):
+        assert run_in_process(args) == (
+            2,
+            "",
+            f"error: the graph would have {count} vertices; gen builds at most 50000\n",
+        )
+    # K(18, 9), 48,620 vertices, is within the cap
+    monkeypatch.setattr(autkit.cli, "kneser", lambda n, k: Graph(1, (0,)))
+    assert run_in_process(["gen", "kneser", "-n", "18", "-k", "9", "--format", "dot"])[0] == 0
 
 
 def test_aut_petersen_reports_order_120():

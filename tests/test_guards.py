@@ -1,0 +1,69 @@
+"""Guards and small public behaviours that no other test reaches, each
+pinned to its message or result."""
+
+import pytest
+
+from autkit import (
+    Graph,
+    KSubset,
+    OrderedPartition,
+    Permutation,
+    are_isomorphic,
+    automorphism_group,
+    brute_force_automorphisms,
+    canonical_form,
+    closure,
+    diameter,
+    is_connected,
+    petersen_subsets,
+    schreier_sims,
+)
+
+EMPTY = Graph(0, ())
+SWAP = Permutation.from_cycles(3, [[1, 2]])
+C3 = schreier_sims([Permutation.from_cycles(3, [[1, 2, 3]])])
+NO_VERTEX = (ValueError, "graph must have at least one vertex")
+
+CASES = {
+    "automorphism_group-empty": (lambda: automorphism_group(EMPTY), NO_VERTEX),
+    "canonical_form-empty": (lambda: canonical_form(EMPTY), NO_VERTEX),
+    "are_isomorphic-empty": (lambda: are_isomorphic(EMPTY, EMPTY), NO_VERTEX),
+    "brute_force-empty": (lambda: brute_force_automorphisms(EMPTY), NO_VERTEX),
+    "partition-negative-vertex": (lambda: OrderedPartition(((0, -1),)), (ValueError, "negative vertex -1")),
+    "partition-unit-0": (lambda: OrderedPartition.unit(0), (ValueError, "partition needs at least one vertex")),
+    "partition-discrete-0": (
+        lambda: OrderedPartition.discrete(0),
+        (ValueError, "partition needs at least one vertex"),
+    ),
+    "ksubset-ground-0": (lambda: KSubset(0, ()), (ValueError, "ground set size must be positive")),
+    "closure-cap-0": (lambda: closure([SWAP], cap=0), (ValueError, "cap must be positive")),
+    "diameter-empty": (lambda: diameter(EMPTY), None),
+    "is_connected-empty": (lambda: is_connected(EMPTY), True),
+    "is_connected-one-vertex": (lambda: is_connected(Graph(1, (0,))), True),
+    "degree": (lambda: petersen_subsets().degree(3), 3),
+    "permutation-times-int": (
+        lambda: SWAP * 3,
+        (TypeError, "unsupported operand type(s) for *: 'Permutation' and 'int'"),
+    ),
+    "permutation-repr": (lambda: repr(SWAP), "Permutation([1, 0, 2])"),
+    "permutation-str": (lambda: str(SWAP), "(1 2)"),
+    "bsgs-not-in": (lambda: SWAP in C3, False),
+    "bsgs-in": (lambda: Permutation.from_cycles(3, [[1, 3, 2]]) in C3, True),
+    "bsgs-repr": (lambda: repr(C3), "BSGS(degree=3, base=[0], order=3)"),
+    "from_edges-loop": (lambda: Graph.from_edges(3, [(1, 1)]), (ValueError, "loop at vertex 1")),
+    "from_cycles-degree-0": (
+        lambda: Permutation.from_cycles(0, []),
+        (ValueError, "permutation degree must be at least 1"),
+    ),
+}
+
+
+@pytest.mark.parametrize("call, want", CASES.values(), ids=list(CASES))
+def test_guard_or_result(call, want):
+    if isinstance(want, tuple):
+        kind, message = want
+        with pytest.raises(kind) as info:
+            call()
+        assert str(info.value) == message
+    else:
+        assert call() == want

@@ -78,6 +78,13 @@ def test_partition_rejects_non_integer_vertices(petersen):
             refine(petersen, OrderedPartition((cell,)))
 
 
+def test_partition_names_a_cell_that_is_not_iterable():
+    with pytest.raises(ValueError, match=r"^partition cell 5 is not iterable$"):
+        OrderedPartition(((0, 1), 5))
+    with pytest.raises(ValueError, match=r"^partition 5 is not iterable$"):
+        OrderedPartition(5)
+
+
 def test_unit_and_discrete():
     assert OrderedPartition.unit(3).cells == ((0, 1, 2),)
     assert OrderedPartition.discrete(3).cells == ((0,), (1,), (2,))

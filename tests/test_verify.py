@@ -404,6 +404,16 @@ def test_verify_petersen_brute_on_a_graph_past_the_scan_cap():
     assert "brute_force" in report.timings
 
 
+def test_verify_petersen_on_an_empty_probe_graph():
+    # the search and the scan need a vertex; an empty probe graph is a
+    # failing check, not an exception
+    for run_brute, brute_order in ((False, None), (True, 0)):
+        report = verify_petersen(run_brute=run_brute, graph=Graph(0, ()))
+        assert report.aut_order_search == 0
+        assert report.aut_order_brute == brute_order
+        assert report.verdict == "FALSIFIED"
+
+
 def test_report_json_shape():
     report = verify_petersen()
     data = json.loads(report.to_json())
