@@ -8,6 +8,7 @@ Exit codes: 0 success (or VERIFIED), 1 negative mathematical result
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import sys
@@ -24,8 +25,7 @@ from .graphs import (
     petersen_subsets,
     to_dot,
 )
-from .perms import schreier_sims
-from .search import are_isomorphic, automorphism_group, canonical_form
+from .search import _automorphisms, are_isomorphic, canonical_form
 from .verify import verify_petersen
 
 
@@ -91,10 +91,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_aut(args: argparse.Namespace) -> int:
     g = _read_graph(args.input)
-    gens = automorphism_group(g)
+    gens, order = _automorphisms(g)
     for gen in gens:
         print(gen.cycle_string())
-    print(f"order {schreier_sims(gens).order()}")
+    print(f"order {order}")
     return 0
 
 
@@ -118,23 +118,25 @@ def cmd_iso(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_petersen(args: argparse.Namespace) -> int:
-    report = verify_petersen(run_brute=args.brute)
-    stats = report.graph_stats
-    print(
-        "graph: n={n} edges={edges} regular_degree={regular_degree} "
-        "girth={girth} diameter={diameter}".format(**stats)
-    )
-    for source, image in report.phi_generator_images.items():
-        print(f"phi[{source}] = {image}")
-    print(f"homomorphism pairs checked: {report.homomorphism_checked}")
-    print(f"kernel trivial: {'yes' if report.kernel_trivial else 'no'}")
-    print(f"image order {report.image_order}")
-    print(f"search order {report.aut_order_search}")
-    if report.aut_order_brute is not None:
-        print(f"brute order {report.aut_order_brute}")
-    print(report.verdict)
-    if args.json is not None:
-        with open(args.json, "w", encoding="ascii") as fh:
+    # the report file is opened first, so that a path that cannot be
+    # written fails before any line, the verdict included, is printed
+    with contextlib.nullcontext() if args.json is None else open(args.json, "w", encoding="ascii") as fh:
+        report = verify_petersen(run_brute=args.brute)
+        stats = report.graph_stats
+        print(
+            "graph: n={n} edges={edges} regular_degree={regular_degree} "
+            "girth={girth} diameter={diameter}".format(**stats)
+        )
+        for source, image in report.phi_generator_images.items():
+            print(f"phi[{source}] = {image}")
+        print(f"homomorphism pairs checked: {report.homomorphism_checked}")
+        print(f"kernel trivial: {'yes' if report.kernel_trivial else 'no'}")
+        print(f"image order {report.image_order}")
+        print(f"search order {report.aut_order_search}")
+        if report.aut_order_brute is not None:
+            print(f"brute order {report.aut_order_brute}")
+        print(report.verdict)
+        if fh is not None:
             fh.write(report.to_json())
     return 0 if report.verdict == "VERIFIED" else 1
 

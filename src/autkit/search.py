@@ -301,6 +301,20 @@ class _IRSearch:
     No generator comes from v's subtree before that leaf, since any match
     there jumps straight back to depth d.
 
+    The generators are thus a strong generating set relative to the
+    first path as base (McKay, "Practical graph isomorphism", Congr.
+    Numer. 30, 1981; nauty's ``grpsize``): |Aut| is the product over the
+    first-path nodes of the orbit of the path's next vertex under the
+    generators that fix the path's vertices above it.  Only the identity
+    fixes every vertex of the path, since individualizing them refines to
+    a discrete partition.  These orbits can be taken after the search,
+    from all the generators.  One found after the depth-d node's loop
+    ends comes from a leaf whose path parts from the first path at some
+    depth p < d, and maps that path's depth-p vertex onto the first
+    path's, so it moves the first path's depth-p vertex: the generators
+    that fix the first d path vertices are still those the loop ended
+    with.  ``canonical_form`` and ``are_isomorphic`` take no orbit.
+
     Each leaf is kept as its vertex order, and ``best`` also keeps the
     split traces of the refinements on its path, one list per depth.
     With a ``target``, such a trace and certificate of another graph's
@@ -446,16 +460,28 @@ class _IRSearch:
         return jump
 
 
+def _automorphisms(g: Graph) -> tuple[tuple[Permutation, ...], int]:
+    """``automorphism_group(g)`` and |Aut(g)|, the product over the first
+    path's depths d of the orbit of its depth-d vertex under the
+    generators that fix the vertices above it (see ``_IRSearch``)."""
+    search = _IRSearch(g)
+    gens, _ = search.run()
+    path = search.first_prefix
+    order = 1
+    for d, v in enumerate(path):
+        orbit = {v}
+        search._close_orbits(orbit, path[:d])
+        order *= len(orbit)
+    return gens or (Permutation.identity(g.n),), order
+
+
 def automorphism_group(g: Graph) -> tuple[Permutation, ...]:
     """A generating set for Aut(g), deterministically ordered.
 
     Rigid graphs yield ``(identity,)`` so that the result is always a
     valid nonempty generator list.
     """
-    gens, _ = _IRSearch(g).run()
-    if not gens:
-        return (Permutation.identity(g.n),)
-    return gens
+    return _automorphisms(g)[0]
 
 
 def canonical_form(g: Graph) -> CanonicalForm:

@@ -12,6 +12,7 @@ from autkit import (
     graph6_decode,
     graph6_encode,
     johnson_general,
+    kneser,
     permute_graph,
     petersen_classic,
     petersen_subsets,
@@ -19,6 +20,7 @@ from autkit import (
 
 from autkit.cli import build_parser, main
 from conftest import run_cli
+from test_search import CUBIC_36, hoffman_singleton
 
 TRIANGLE_G6 = "Bw"
 
@@ -117,6 +119,25 @@ def test_aut_single_vertex():
     proc = run_cli(["aut"], stdin_text="@")
     assert proc.returncode == 0
     assert proc.stdout == "()\norder 1\n"
+
+
+@pytest.mark.parametrize(
+    "g, tail",
+    [
+        (kneser(7, 3), ["order 5040"]),
+        (johnson_general(7, 3, 1), ["order 40320"]),
+        (hoffman_singleton(), ["order 252000"]),
+        (CUBIC_36, ["()", "order 1"]),
+        (Graph(1, (0,)), ["()", "order 1"]),
+    ],
+    ids=["K(7,3)", "J(7,3,1)", "hoffman-singleton", "cubic-36", "one-vertex"],
+)
+def test_aut_order_line_golden(g, tail, tmp_path):
+    path = tmp_path / "g.g6"
+    path.write_text(graph6_encode(g) + "\n", encoding="ascii")
+    code, out, err = run_in_process(["aut", str(path)])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-len(tail):] == tail
 
 
 def test_aut_rejects_malformed_graph6():
@@ -218,6 +239,18 @@ def test_verify_petersen_summary_and_exit_code(tmp_path):
     ]
     assert data["verdict"] == "VERIFIED"
     assert data["aut_order_brute"] is None
+
+
+def test_verify_petersen_prints_nothing_when_the_report_cannot_be_written(tmp_path):
+    # the report file is opened before the first line is printed, so a
+    # caller reading the last line never sees VERIFIED from a failed run
+    path = tmp_path / "missing" / "r.json"
+    code, out, err = run_in_process(["verify-petersen", "--json", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno 2] No such file or directory")
+    assert not path.parent.exists()
+    # a report that can be written leaves stdout as it is without one
+    assert run_in_process(["verify-petersen", "--json", str(tmp_path / "r.json")]) == run_in_process(["verify-petersen"])
 
 
 def test_render_default_layout(tmp_path):

@@ -33,7 +33,7 @@ import autkit.search as search
 import reference_perms
 import reference_search
 from conftest import all_masks, graph_from_mask, random_cubic, random_graph, run_cli
-from test_cfi import BASES as CFI_BASES, cfi
+from test_cfi import BASES as CFI_BASES, cfi, expected_order as expected_cfi_order
 from unpruned_search import unpruned_search
 
 PETERSEN_CERT = "n=10:e0180c0d4a60"
@@ -675,15 +675,54 @@ def test_every_generator_is_new(name):
     assert_every_generator_is_new(EVERY_GENERATOR_IS_NEW[name])
 
 
-def test_every_generator_is_new_circulant_and_random():
+def small_circulants():
+    """Every circulant with n = 3..16 and one or two jumps."""
     for n in range(3, 17):
         for jumps in itertools.chain.from_iterable(
             itertools.combinations(range(1, n // 2 + 1), r) for r in (1, 2)
         ):
-            assert_every_generator_is_new(circulant(n, jumps))
+            yield circulant(n, jumps)
+
+
+def test_every_generator_is_new_circulant_and_random():
+    for g in small_circulants():
+        assert_every_generator_is_new(g)
     rng = random.Random(9)
     for _ in range(300):
         assert_every_generator_is_new(random_graph(rng, rng.randint(2, 12), rng.choice((0.2, 0.5, 0.8))))
+
+
+def search_order(g):
+    """|Aut(g)| as ``autkit aut`` prints it, checked against a BSGS of the
+    search's own generators."""
+    gens, order = search._automorphisms(g)
+    assert order == reference_perms.schreier_sims(gens).order(), gens
+    return order
+
+
+def test_search_order_matches_schreier_sims_random():
+    rng = random.Random(17)
+    for _ in range(400):
+        g = random_graph(rng, rng.randint(1, 11), rng.choice((0.2, 0.5, 0.8)))
+        assert search_order(g) == search_order(shuffled(g, rng))
+
+
+def test_search_order_matches_schreier_sims_circulant():
+    for g in small_circulants():
+        search_order(g)
+
+
+@pytest.mark.parametrize("name", sorted(EVERY_GENERATOR_IS_NEW))
+def test_search_order_matches_schreier_sims(name):
+    order = search_order(EVERY_GENERATOR_IS_NEW[name])
+    if name.startswith("CFI("):
+        # |Aut(CFI(H))| from H alone, the same for the twisted copy
+        assert order == expected_cfi_order(name[4:name.index(")")])
+
+
+@pytest.mark.parametrize("g", [Graph(1, (0,)), CUBIC_36], ids=["one-vertex", "cubic-36"])
+def test_search_order_of_a_rigid_graph_is_1(g):
+    assert search_order(g) == 1
 
 
 @pytest.mark.parametrize(
