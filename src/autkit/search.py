@@ -338,6 +338,33 @@ class _IRSearch:
       the same code without a target, so it walks the same tree in the
       same order, and its canonical leaf is the first leaf in that order
       with the least certificate, which is the target's.
+
+    A probe (``_Probe``) looks for one automorphism other than the
+    identity.  It has no target until its first leaf F, the first leaf of
+    the search without a target, since no target or generator changes the
+    walk before it.  From then on F's traces and certificate are its
+    target: the target's trace is read afresh for each child, so every
+    later child that leaves F's trace is dropped, the later siblings of
+    F's ancestors included, and the first later leaf with F's certificate
+    ends the probe.  It finds such a leaf exactly when the graph is not
+    rigid:
+
+    1. A later leaf with F's certificate gives an automorphism other than
+       the identity, since only the identity fixes a discrete order.
+       Conversely, ``_refine`` is label-equivariant, so an automorphism
+       gamma other than the identity maps F's path onto a path with F's
+       trace at every depth, which ends in a leaf with F's certificate
+       other than F.  No orbit pruning or backjump happens before a first
+       generator, and the probe ends at the leaf that would give one, so
+       that path is searched unless an earlier leaf ends the probe.
+    2. The argument for the target search above uses of the other graph's
+       leaf only its traces and certificate, not that it is canonical: a
+       graph holds a leaf with the traces and certificate of any leaf of
+       another graph exactly when the two graphs are isomorphic.
+    3. A rigid graph has exactly one isomorphism onto an isomorphic graph,
+       so when the probe finds nothing, the mapping from F onto the leaf a
+       target search for F finds is the mapping from canonical leaf to
+       canonical leaf.
     """
 
     def __init__(self, g: Graph, target: Optional[tuple[Sequence[_Trace], bytes]] = None) -> None:
@@ -393,12 +420,14 @@ class _IRSearch:
         if target is None:
             return self._leaf(lab, prefix, traces)
         depth = len(prefix)
-        expect = self.target_trace[depth + 1] if self.target_trace else None
         stop = end[target]
         covered: set[int] = set()
         for v in lab[target:stop]:
             if v in covered:
                 continue
+            # read per child: a probe takes its target at its first leaf,
+            # which may lie under this node's first child
+            expect = self.target_trace[depth + 1] if self.target_trace else None
             rest = [u for u in lab[target:stop] if u != v]
             child_lab, child_end, child_cellof = lab[:], end[:], cellof[:]
             child_lab[target] = v
@@ -460,6 +489,19 @@ class _IRSearch:
         return jump
 
 
+class _Probe(_IRSearch):
+    """The search for one automorphism other than the identity (see
+    ``_IRSearch``): ``best`` is the leaf that gives it, or None when the
+    graph is rigid."""
+
+    def _leaf(self, order: list[int], prefix: tuple[int, ...], traces: tuple[_Trace, ...]) -> int:
+        if self.first is not None:
+            return super()._leaf(order, prefix, traces)
+        self.first = (order, _cert_bytes(self.nbrs, order))
+        self.target_trace, self.target_cert = traces, self.first[1]
+        return len(prefix)
+
+
 def _automorphisms(g: Graph) -> tuple[tuple[Permutation, ...], int]:
     """``automorphism_group(g)`` and |Aut(g)|, the product over the first
     path's depths d of the orbit of its depth-d vertex under the
@@ -498,17 +540,30 @@ def are_isomorphic(g1: Graph, g2: Graph) -> Optional[Permutation]:
     """An explicit isomorphism g1 -> g2 (verified before returning), or
     None when the graphs are not isomorphic.
 
-    Only g1 gets a canonical search.  The search of g2 looks for the leaf
-    with g1's canonical certificate, and drops every child whose split
-    trace leaves the one g1's search kept for its canonical path (see
-    ``_IRSearch``): the leaf it finds is the one ``canonical_form(g2)``
-    returns, so the mapping takes g1's canonical vertex order onto g2's,
-    and no leaf is found exactly when the canonical certificates differ."""
+    A ``_Probe`` of g1 first looks for one automorphism along the trace of
+    its first leaf F.  The search of g2 then looks for the leaf with the
+    traces and certificate of one leaf of g1, and finds one exactly when
+    the graphs are isomorphic (see ``_IRSearch``).
+
+    - When the probe finds no automorphism, g1 is rigid, and that leaf is
+      F: g1 gets no canonical search.  A rigid graph has exactly one
+      isomorphism onto g2, so the mapping from F onto the leaf found is
+      the one from g1's canonical leaf onto g2's.
+    - Otherwise that leaf is g1's canonical leaf.  The leaf found is then
+      the one ``canonical_form(g2)`` returns, so the mapping takes g1's
+      canonical vertex order onto g2's."""
+    if g1.n < 1 or g2.n < 1:
+        raise ValueError("graph must have at least one vertex")
     if g1.n != g2.n or edge_count(g1) != edge_count(g2):
         return None
-    _, best = _IRSearch(g1).run()
-    assert best is not None
-    order, cert, traces = best
+    probe = _Probe(g1)
+    if probe.run()[1] is None:
+        assert probe.first is not None and probe.target_trace is not None
+        (order, cert), traces = probe.first, probe.target_trace
+    else:
+        _, best = _IRSearch(g1).run()
+        assert best is not None
+        order, cert, traces = best
     _, leaf = _IRSearch(g2, (traces, cert)).run()
     if leaf is None:
         return None

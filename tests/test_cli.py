@@ -211,6 +211,18 @@ def test_iso_non_isomorphic_cubic_pair(tmp_path):
     assert proc.stdout == "non-isomorphic\n"
 
 
+def test_iso_refuses_a_graph_without_vertices(tmp_path):
+    # as aut and canon do, whatever the other input: "?" against "@" once
+    # failed the size comparison first and printed non-isomorphic
+    empty = tmp_path / "empty.g6"
+    one = tmp_path / "one.g6"
+    empty.write_text("?\n")
+    one.write_text("@\n")
+    for a, b in ((empty, one), (one, empty), (empty, empty)):
+        proc = run_cli(["iso", str(a), str(b)])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: graph must have at least one vertex\n")
+
+
 def test_iso_rejects_stdin_for_both_inputs():
     # stdin can be read once; the second read would see empty text
     proc = run_cli(["iso", "-", "-"], stdin_text=graph6_encode(petersen_subsets()))

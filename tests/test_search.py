@@ -16,6 +16,7 @@ from autkit import (
     brute_force_automorphisms,
     canonical_form,
     closure,
+    degree_sequence,
     edge_count,
     graph6_decode,
     graph6_encode,
@@ -416,6 +417,109 @@ def test_target_search_leaf_counts(monkeypatch):
     assert (other.n, edge_count(other)) == (CUBIC_36.n, edge_count(CUBIC_36))
     assert are_isomorphic(CUBIC_36, other) is None
     assert len(visited) == 1
+
+
+def probe(g):
+    """The probe's first leaf, and the automorphism it found or None."""
+    p = search._Probe(g)
+    _, twin = p.run()
+    return p.first, None if twin is None else search._mapping(twin[0], p.first[0])
+
+
+def assert_probe_finds(g, has_automorphism):
+    first, gamma = probe(g)
+    full = search._IRSearch(g)
+    full.run()
+    assert first == full.first
+    assert (gamma is not None) == has_automorphism
+    if gamma is not None:
+        assert not gamma.is_identity()
+        assert is_automorphism(g, gamma)
+
+
+def test_probe_finds_an_automorphism_exactly_when_there_is_one_random():
+    rng = random.Random(18)
+    found = 0
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 10), rng.choice((0.2, 0.35, 0.5)))
+        has_automorphism = len(brute_force_automorphisms(g)) > 1
+        assert_probe_finds(g, has_automorphism)
+        found += has_automorphism
+    assert 0 < found < 300
+
+
+@pytest.mark.parametrize(
+    "family",
+    ["random", "cubic-20", "cubic-36", "cubic-50", "K(7,3)", "J(7,3,1)", "edgeless-12",
+     "CFI(K4)", "CFI(Q3)", "CFI(petersen)"],
+)
+def test_probe_finds_an_automorphism_exactly_when_there_is_one(family):
+    # the iso corpus, CFI plain and twisted included
+    for pair in iso_corpus(family):
+        for g in pair:
+            assert_probe_finds(g, automorphism_group(g) != (Permutation.identity(g.n),))
+
+
+def test_iso_leaf_counts_on_rigid_pairs(monkeypatch):
+    # a rigid first graph gets the probe, which meets only its first leaf,
+    # and no canonical search; the canonical search met 36 leaves here
+    visited = {"probe": 0, "target": 0, "canonical": 0}
+    probe_leaf, leaf = search._Probe._leaf, search._IRSearch._leaf
+
+    def counting_probe(self, order, *path):
+        visited["probe"] += 1
+        return probe_leaf(self, order, *path)
+
+    def counting(self, order, *path):
+        if type(self) is search._IRSearch:
+            visited["canonical" if self.target_cert is None else "target"] += 1
+        return leaf(self, order, *path)
+
+    monkeypatch.setattr(search._Probe, "_leaf", counting_probe)
+    monkeypatch.setattr(search._IRSearch, "_leaf", counting)
+    a = graph6_decode(ISO_GOLDEN_CUBIC[0])
+    b = graph6_decode(ISO_GOLDEN_CUBIC[1])
+    assert are_isomorphic(a, b) is not None
+    assert visited == {"probe": 1, "target": 1, "canonical": 0}
+    visited.update(probe=0, target=0)
+    assert are_isomorphic(CUBIC_36, GOLDEN_CANON["cubic-36-b"][0]) is None
+    assert visited == {"probe": 1, "target": 0, "canonical": 0}
+
+
+def move_one_edge(g, rng):
+    """g with one edge {a, b} moved to a non-edge {a, c}, where c has one
+    neighbour fewer than b, so the degree sequence is kept; None when g
+    has no such move."""
+    moves = [
+        (a, b, c)
+        for a in range(g.n) for b in g.neighbors(a) for c in range(g.n)
+        if c not in (a, b) and not g.has_edge(a, c) and g.degree(c) == g.degree(b) - 1
+    ]
+    if not moves:
+        return None
+    a, b, c = rng.choice(moves)
+    edges = set(g.edges()) - {(min(a, b), max(a, b))} | {(min(a, c), max(a, c))}
+    return Graph.from_edges(g.n, sorted(edges))
+
+
+def test_are_isomorphic_matches_two_canonical_forms_rigid_non_regular():
+    # rigid graphs whose root refinement already splits; every cubic
+    # corpus is regular, so there the root partition is the unit one
+    rng = random.Random("iso/rigid-non-regular")
+    verdicts = {True: 0, False: 0}
+    graphs = 0
+    while graphs < 60:
+        g = random_graph(rng, rng.randint(9, 14), rng.choice((0.3, 0.5, 0.7)))
+        moved = move_one_edge(g, rng)
+        if moved is None or unpruned_search(g)[0] or len(refine(g, OrderedPartition.unit(g.n)).cells) == 1:
+            continue
+        graphs += 1
+        for h in (shuffled(g, rng), shuffled(moved, rng)):
+            assert degree_sequence(h) == degree_sequence(g)
+            want = reference_search.are_isomorphic(g, h)
+            assert are_isomorphic(g, h) == want
+            verdicts[want is not None] += 1
+    assert verdicts[True] >= 60 and verdicts[False] > 0
 
 
 def refine_individualized(g, v, trace=None, expect=None):
