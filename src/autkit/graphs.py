@@ -311,6 +311,10 @@ def graph6_encode(g: Graph) -> str:
     return "".join(out)
 
 
+#: the six data bits of each graph6 character, most significant first
+_GRAPH6_BITS = {chr(63 + val): f"{val:06b}" for val in range(64)}
+
+
 def graph6_decode(text: str) -> Graph:
     """Decode short-form graph6; raises Graph6Error on malformed input."""
     s = text.strip()
@@ -331,22 +335,24 @@ def graph6_decode(text: str) -> Graph:
     body = s[1:]
     if len(body) != math.ceil(nbits / 6):
         raise Graph6Error(f"expected {math.ceil(nbits / 6)} data characters, got {len(body)}")
-    bits = []
-    for ch in body:
-        val = ord(ch) - 63
-        if not 0 <= val <= 63:
-            raise Graph6Error(f"out-of-range character {ch!r}")
-        bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
-    if any(bits[nbits:]):
+    try:
+        bits = "".join([_GRAPH6_BITS[ch] for ch in body])
+    except KeyError as exc:
+        raise Graph6Error(f"out-of-range character {exc.args[0]!r}") from None
+    if "1" in bits[nbits:]:
         raise Graph6Error("nonzero padding bits")
+    # column j lists bits (0, j) .. (j - 1, j); reversed, it reads as row j
+    # of the lower triangle, whose set bits are mirrored into earlier rows
     adj = [0] * n
     pos = 0
     for j in range(1, n):
-        for i in range(j):
-            if bits[pos]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            pos += 1
+        column = adj[j] = int(bits[pos:pos + j][::-1], 2)
+        pos += j
+        bit = 1 << j
+        while column:
+            low = column & -column
+            adj[low.bit_length() - 1] |= bit
+            column ^= low
     return Graph(n, tuple(adj))
 
 

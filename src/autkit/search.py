@@ -29,6 +29,9 @@ BRUTE_FORCE_MAX_VERTICES = 10
 _Trace = list[tuple[int, int]]
 #: a leaf of the search: its vertex order, certificate, and the trace of each depth
 _Leaf = tuple[list[int], bytes, tuple[_Trace, ...]]
+#: a node of the search: ``lab``, ``end`` and ``cellof`` of its partition (see
+#: ``_refine``), and the split trace of the refinement that made it
+_Node = tuple[list[int], list[int], list[int], _Trace]
 
 
 @dataclass(frozen=True)
@@ -317,75 +320,114 @@ class _IRSearch:
 
     Each leaf is kept as its vertex order, and ``best`` also keeps the
     split traces of the refinements on its path, one list per depth.
-    With a ``target``, such a trace and certificate of another graph's
-    canonical leaf, the search looks only for the leaf with that
-    certificate.  A child is dropped at the first split of its
-    refinement that the trace of its depth lacks, and is not marked
-    searched; the first leaf with the target certificate ends the search
-    and becomes ``best``.  When the graphs are isomorphic, that leaf is
-    this graph's canonical leaf:
+    With a ``target``, such a trace and certificate of a leaf of another
+    graph, the search looks only for leaves with that certificate.  A
+    child is dropped at the first split of its refinement that the trace
+    of its depth lacks, and is not marked searched.  The first leaf with
+    the target certificate becomes ``best``; it ends the search unless
+    ``stop_after`` asks for more such leaves (see the scan below).  When
+    the graphs are isomorphic and the target is the other graph's
+    canonical leaf, ``best`` is this graph's canonical leaf:
 
     - ``_refine`` is label-equivariant.  A leaf with the target
       certificate gives an isomorphism from the other graph that maps
-      its canonical path onto the leaf's path, so that leaf has the
+      the target's path onto the leaf's path, so that leaf has the
       target's trace at every depth, and no leaf under a dropped child
       has the certificate.
     - Orbit pruning and backjumping skip only automorphic images of
       leaves that come earlier in unpruned depth-first order.  Those
-      leaves were met without ending the search or lie under dropped
+      leaves were met before the first match or lie under dropped
       children, so none has the target certificate, and the leaf found
       is the first in that order that has it.  The canonical search is
       the same code without a target, so it walks the same tree in the
       same order, and its canonical leaf is the first leaf in that order
       with the least certificate, which is the target's.
 
-    A probe (``_Probe``) looks for one automorphism other than the
-    identity.  It has no target until its first leaf F, the first leaf of
-    the search without a target, since no target or generator changes the
-    walk before it.  From then on F's traces and certificate are its
-    target: the target's trace is read afresh for each child, so every
-    later child that leaves F's trace is dropped, the later siblings of
-    F's ancestors included, and the first later leaf with F's certificate
-    ends the probe.  It finds such a leaf exactly when the graph is not
-    rigid:
+    That argument uses of the target only its traces and certificate, not
+    that it is canonical: a graph holds a leaf with the traces and
+    certificate of any leaf of another graph exactly when the two graphs
+    are isomorphic.  ``are_isomorphic`` takes as target the first leaf F
+    of g1, the leaf that ``first_leaf`` reaches by walking g1's first
+    path, and scans g2 with ``stop_after=2``: the search goes on after
+    its first match and ends at the second, or at g2's first generator
+    once a match has been met.  When g1 and g2 are isomorphic, the scan
+    meets a second match or a generator exactly when g1 is not rigid:
 
-    1. A later leaf with F's certificate gives an automorphism other than
-       the identity, since only the identity fixes a discrete order.
-       Conversely, ``_refine`` is label-equivariant, so an automorphism
-       gamma other than the identity maps F's path onto a path with F's
-       trace at every depth, which ends in a leaf with F's certificate
-       other than F.  No orbit pruning or backjump happens before a first
-       generator, and the probe ends at the leaf that would give one, so
-       that path is searched unless an earlier leaf ends the probe.
-    2. The argument for the target search above uses of the other graph's
-       leaf only its traces and certificate, not that it is canonical: a
-       graph holds a leaf with the traces and certificate of any leaf of
-       another graph exactly when the two graphs are isomorphic.
-    3. A rigid graph has exactly one isomorphism onto an isomorphic graph,
-       so when the probe finds nothing, the mapping from F onto the leaf a
-       target search for F finds is the mapping from canonical leaf to
-       canonical leaf.
+    1. Each isomorphism phi from g1 to g2 maps F's path onto a path of g2
+       with F's traces at every depth, which ends in a leaf with F's
+       certificate and vertex order phi(F).  Conversely, each such leaf
+       gives one.  Distinct isomorphisms give distinct leaves, so g2
+       holds as many leaves with F's traces and certificate as g1 has
+       automorphisms.
+    2. Until a generator is found, the scan drops only children whose
+       trace leaves F's: it makes no orbit prune and no backjump.  Without
+       a generator it therefore meets every such leaf, and one match
+       means one automorphism of g1, the identity.
+    3. A generator of g2 proves that Aut(g2), which is isomorphic to
+       Aut(g1), is not trivial.
+
+    Up to its first match the scan walks as a search with ``stop_after=1``
+    does, so that match is the leaf such a search returns.  After it the
+    scan prunes nothing: it ends at the match if it holds a generator,
+    and otherwise at its first generator.  A rigid graph has exactly one
+    isomorphism onto an isomorphic graph, so when g1 is rigid the mapping
+    from F onto the first match is the mapping from canonical leaf to
+    canonical leaf.
     """
 
-    def __init__(self, g: Graph, target: Optional[tuple[Sequence[_Trace], bytes]] = None) -> None:
+    def __init__(
+        self,
+        g: Graph,
+        target: Optional[tuple[Sequence[_Trace], bytes]] = None,
+        stop_after: int = 1,
+    ) -> None:
         if g.n < 1:
             raise ValueError("graph must have at least one vertex")
         self.nbrs = [g.neighbors(v) for v in range(g.n)]
         self.target_trace, self.target_cert = target if target is not None else (None, None)
+        # the number of leaves with the target certificate that ends the search
+        self.stop_after = stop_after
+        self.matches = 0
         self.gens: list[Permutation] = []
         self.first: Optional[tuple[list[int], bytes]] = None
         self.first_prefix: tuple[int, ...] = ()
-        # the canonical leaf so far, or with a target the leaf that has its certificate
+        # the canonical leaf so far, or with a target the first leaf that has its certificate
         self.best: Optional[_Leaf] = None
+        # the partitions of the first path left to take, deepest first (see first_leaf)
+        self.walked: list[_Node] = []
 
     def run(self) -> tuple[tuple[Permutation, ...], Optional[_Leaf]]:
+        root = self.walked.pop() if self.walked else self._root()
+        if root is not None:
+            lab, end, cellof, trace = root
+            self._node(lab, end, cellof, (), (trace,))
+        return tuple(self.gens), self.best
+
+    def first_leaf(self) -> _Leaf:
+        """The first leaf that ``run`` meets without a target, found by
+        walking the first path alone.  A later ``run`` takes the path's
+        partitions from this walk instead of refining them again."""
+        node = self._root()
+        path: list[_Node] = []
+        while node is not None:
+            path.append(node)
+            lab, end, cellof, _ = node
+            target = self._target_cell(end)
+            node = None if target is None else self._child(lab, end, cellof, target, lab[target], None)
+        self.walked = path[::-1]
+        order = path[-1][0]
+        return order, _cert_bytes(self.nbrs, order), tuple(trace for *_, trace in path)
+
+    def _root(self) -> Optional[_Node]:
+        """The unit partition refined, and its split trace; None when the
+        trace leaves the target's."""
         # one list of dirty flags serves every refinement: each ends clean
         lab, end, cellof, self.dirty = _flatten(len(self.nbrs), [range(len(self.nbrs))])
         trace: _Trace = []
         expect = self.target_trace[0] if self.target_trace else None
-        if _refine(self.nbrs, lab, end, cellof, self.dirty, 0, trace, expect):
-            self._node(lab, end, cellof, (), (trace,))
-        return tuple(self.gens), self.best
+        if not _refine(self.nbrs, lab, end, cellof, self.dirty, 0, trace, expect):
+            return None
+        return lab, end, cellof, trace
 
     @staticmethod
     def _target_cell(end: list[int]) -> Optional[int]:
@@ -399,6 +441,38 @@ class _IRSearch:
             i = end[i]
         return best
 
+    def _child(
+        self,
+        lab: list[int],
+        end: list[int],
+        cellof: list[int],
+        target: int,
+        v: int,
+        expect: Optional[_Trace],
+    ) -> Optional[_Node]:
+        """The child that individualizes v of the target cell, refined, and
+        its split trace; None when the trace leaves ``expect``.
+
+        v goes alone at the cell's start, then the rest of the cell.  Only
+        those two cells start dirty: every other cell c is a cell of the
+        node, and every child cell lies inside a cell of the node, whose
+        vertices all have equally many neighbours in c; so c splits
+        nothing."""
+        stop = end[target]
+        rest = [u for u in lab[target:stop] if u != v]
+        child_lab, child_end, child_cellof = lab[:], end[:], cellof[:]
+        child_lab[target] = v
+        child_lab[target + 1:stop] = rest
+        child_end[target] = target + 1
+        child_end[target + 1] = stop
+        for u in rest:
+            child_cellof[u] = target + 1
+        self.dirty[target] = self.dirty[target + 1] = True
+        trace: _Trace = []
+        if not _refine(self.nbrs, child_lab, child_end, child_cellof, self.dirty, target, trace, expect):
+            return None
+        return child_lab, child_end, child_cellof, trace
+
     def _node(
         self,
         lab: list[int],
@@ -409,37 +483,21 @@ class _IRSearch:
     ) -> int:
         """Search the subtree of a node with an equitable partition, reached
         by individualizing ``prefix`` with split traces ``traces``; return
-        the depth of the node to resume at, -1 to end the search.
-
-        A child individualizes a vertex v of the target cell: v alone at
-        the cell's start, then the rest of the cell.  Only those two cells
-        start dirty: every other cell c is a cell of the node, and every
-        child cell lies inside a cell of the node, whose vertices all have
-        equally many neighbours in c; so c splits nothing."""
+        the depth of the node to resume at, -1 to end the search."""
         target = self._target_cell(end)
         if target is None:
             return self._leaf(lab, prefix, traces)
         depth = len(prefix)
-        stop = end[target]
+        expect = self.target_trace[depth + 1] if self.target_trace else None
         covered: set[int] = set()
-        for v in lab[target:stop]:
+        for v in lab[target:end[target]]:
             if v in covered:
                 continue
-            # read per child: a probe takes its target at its first leaf,
-            # which may lie under this node's first child
-            expect = self.target_trace[depth + 1] if self.target_trace else None
-            rest = [u for u in lab[target:stop] if u != v]
-            child_lab, child_end, child_cellof = lab[:], end[:], cellof[:]
-            child_lab[target] = v
-            child_lab[target + 1:stop] = rest
-            child_end[target] = target + 1
-            child_end[target + 1] = stop
-            for u in rest:
-                child_cellof[u] = target + 1
-            self.dirty[target] = self.dirty[target + 1] = True
-            trace: _Trace = []
-            if not _refine(self.nbrs, child_lab, child_end, child_cellof, self.dirty, target, trace, expect):
+            # the first child of each node on the first path was walked already
+            child = self.walked.pop() if self.walked else self._child(lab, end, cellof, target, v, expect)
+            if child is None:
                 continue
+            child_lab, child_end, child_cellof, trace = child
             jump = self._node(child_lab, child_end, child_cellof, prefix + (v,), traces + (trace,))
             if jump < depth:
                 return jump
@@ -472,13 +530,17 @@ class _IRSearch:
         jump = len(prefix)
         cert = _cert_bytes(self.nbrs, order)
         if cert == self.target_cert:
-            self.best = (order, cert, traces)
-            return -1
+            self.matches += 1
+            if self.best is None:
+                self.best = (order, cert, traces)
+            return -1 if self.matches == self.stop_after or self.gens else jump
         if self.first is None:
             self.first = (order, cert)
             self.first_prefix = prefix
         elif cert == self.first[1]:
             self.gens.append(_mapping(order, self.first[0]))
+            if self.matches:
+                return -1
             # the new generator maps the first path onto this leaf's path:
             # resume at the node where the two paths part
             jump = 0
@@ -487,19 +549,6 @@ class _IRSearch:
         if self.target_cert is None and (self.best is None or cert < self.best[1]):
             self.best = (order, cert, traces)
         return jump
-
-
-class _Probe(_IRSearch):
-    """The search for one automorphism other than the identity (see
-    ``_IRSearch``): ``best`` is the leaf that gives it, or None when the
-    graph is rigid."""
-
-    def _leaf(self, order: list[int], prefix: tuple[int, ...], traces: tuple[_Trace, ...]) -> int:
-        if self.first is not None:
-            return super()._leaf(order, prefix, traces)
-        self.first = (order, _cert_bytes(self.nbrs, order))
-        self.target_trace, self.target_cert = traces, self.first[1]
-        return len(prefix)
 
 
 def _automorphisms(g: Graph) -> tuple[tuple[Permutation, ...], int]:
@@ -540,33 +589,36 @@ def are_isomorphic(g1: Graph, g2: Graph) -> Optional[Permutation]:
     """An explicit isomorphism g1 -> g2 (verified before returning), or
     None when the graphs are not isomorphic.
 
-    A ``_Probe`` of g1 first looks for one automorphism along the trace of
-    its first leaf F.  The search of g2 then looks for the leaf with the
-    traces and certificate of one leaf of g1, and finds one exactly when
-    the graphs are isomorphic (see ``_IRSearch``).
+    The first leaf F of g1 is the target of one scan of g2, which counts
+    the leaves with F's traces and certificate up to two (see
+    ``_IRSearch``).
 
-    - When the probe finds no automorphism, g1 is rigid, and that leaf is
-      F: g1 gets no canonical search.  A rigid graph has exactly one
-      isomorphism onto g2, so the mapping from F onto the leaf found is
-      the one from g1's canonical leaf onto g2's.
-    - Otherwise that leaf is g1's canonical leaf.  The leaf found is then
+    - No such leaf: the graphs are not isomorphic, and g1 gets no further
+      search.
+    - One, and no generator of g2: g1 is rigid.  A rigid graph has
+      exactly one isomorphism onto g2, so the mapping from F onto that
+      leaf is the one from g1's canonical leaf onto g2's.
+    - Otherwise g1 has automorphisms.  A canonical search of g1, which
+      reuses the walk of its first path, and a search of g2 for g1's
+      canonical leaf follow, and the leaf found is
       the one ``canonical_form(g2)`` returns, so the mapping takes g1's
       canonical vertex order onto g2's."""
     if g1.n < 1 or g2.n < 1:
         raise ValueError("graph must have at least one vertex")
     if g1.n != g2.n or edge_count(g1) != edge_count(g2):
         return None
-    probe = _Probe(g1)
-    if probe.run()[1] is None:
-        assert probe.first is not None and probe.target_trace is not None
-        (order, cert), traces = probe.first, probe.target_trace
-    else:
-        _, best = _IRSearch(g1).run()
-        assert best is not None
-        order, cert, traces = best
-    _, leaf = _IRSearch(g2, (traces, cert)).run()
+    first = _IRSearch(g1)
+    order, cert, traces = first.first_leaf()
+    scan = _IRSearch(g2, (traces, cert), stop_after=2)
+    _, leaf = scan.run()
     if leaf is None:
         return None
+    if scan.matches > 1 or scan.gens:
+        _, best = first.run()
+        assert best is not None
+        order, cert, traces = best
+        _, leaf = _IRSearch(g2, (traces, cert)).run()
+        assert leaf is not None
     sigma = _mapping(order, leaf[0])
     if permute_graph(g1, sigma).adj != g2.adj:
         raise RuntimeError("certificate collision without an isomorphism; this is a bug")

@@ -1,14 +1,16 @@
 """Reference oracles for ``autkit.graphs``: the pairwise versions of the
-symmetry check and of the subset-graph construction, kept independent of
-the set-bit ones so that differential tests can catch a bug in either.
+symmetry check and of the subset-graph construction, and the
+bit-at-a-time graph6 decoder, kept independent of the set-bit and
+string-slicing ones so that differential tests can catch a bug in either.
 
-Both visit every pair of vertices, so keep their inputs small."""
+All visit every pair of vertices, so keep their inputs small."""
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
-from autkit import Graph, subsets
+from autkit import Graph, Graph6Error, subsets
 
 
 def asymmetric_pair(adj: tuple[int, ...]) -> Optional[tuple[int, int]]:
@@ -34,3 +36,42 @@ def subset_graph(n: int, k: int, wanted_intersection: int) -> Graph:
         if len(sets[i] & sets[j]) == wanted_intersection
     ]
     return Graph.from_edges(len(verts), edges, labels=[s.label() for s in verts])
+
+
+def graph6_decode(text: str) -> Graph:
+    """Decode short-form graph6; raises Graph6Error on malformed input."""
+    s = text.strip()
+    if not s:
+        raise Graph6Error("empty graph6 text")
+    if s.startswith(">>graph6<<"):
+        raise Graph6Error("the optional '>>graph6<<' header is not supported; remove it")
+    lines = len(s.splitlines())
+    if lines > 1:
+        raise Graph6Error(f"expected one graph6 line, got {lines}; give one graph per input")
+    first = ord(s[0])
+    if first == 126:
+        raise Graph6Error("long-form graph6 (n > 62) is not supported")
+    if not 63 <= first <= 125:
+        raise Graph6Error(f"invalid vertex-count character {s[0]!r}")
+    n = first - 63
+    nbits = n * (n - 1) // 2
+    body = s[1:]
+    if len(body) != math.ceil(nbits / 6):
+        raise Graph6Error(f"expected {math.ceil(nbits / 6)} data characters, got {len(body)}")
+    bits = []
+    for ch in body:
+        val = ord(ch) - 63
+        if not 0 <= val <= 63:
+            raise Graph6Error(f"out-of-range character {ch!r}")
+        bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
+    if any(bits[nbits:]):
+        raise Graph6Error("nonzero padding bits")
+    adj = [0] * n
+    pos = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[pos]:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+            pos += 1
+    return Graph(n, tuple(adj))

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from autkit import (
     petersen_subsets,
 )
 
+import reference_graphs
 from conftest import all_masks, graph_from_mask, random_graph
 
 
@@ -75,3 +77,59 @@ def test_encode_rejects_large_graphs():
 def test_decode_rejects_malformed(text):
     with pytest.raises(Graph6Error):
         graph6_decode(text)
+
+
+def decoded(decode, text):
+    """The graph, or the message of the Graph6Error raised."""
+    try:
+        return decode(text)
+    except Graph6Error as exc:
+        return str(exc)
+
+
+def corruptions(text, rng):
+    """``text`` with each nonempty set of three faults: up to two data
+    characters out of range, a padding bit set, and one data character
+    dropped; a fault the text has no room for is left out."""
+    n = ord(text[0]) - 63
+    pad = -(n * (n - 1) // 2) % 6
+
+    def out_of_range(t):
+        chars = list(t)
+        positions = rng.sample(range(1, len(t)), min(2, len(t) - 1))
+        for i, bad in zip(positions, rng.sample("!0>\x7f\x80\u00e9", 2)):
+            chars[i] = bad
+        return "".join(chars)
+
+    def padding(t):
+        return t[:-1] + chr(63 + ((ord(t[-1]) - 63) | 1 << rng.randrange(pad)))
+
+    def dropped(t):
+        i = rng.randrange(1, len(t))
+        return t[:i] + t[i + 1:]
+
+    faults = [out_of_range, dropped] + ([padding] if pad else [])
+    for k in range(1, len(faults) + 1):
+        for chosen in itertools.combinations(faults, k):
+            t = text
+            for fault in chosen:
+                if len(t) > 1:
+                    t = fault(t)
+            yield t
+
+
+def test_decode_matches_the_bit_at_a_time_decoder():
+    # the same graph, or the same message for the first fault in the
+    # order: length, the first out-of-range character, padding
+    rng = random.Random(62)
+    messages = set()
+    for n in range(63):
+        for p in (0.1, 0.5, 0.9):
+            text = graph6_encode(random_graph(rng, n, p))
+            assert decoded(graph6_decode, text) == decoded(reference_graphs.graph6_decode, text)
+            for bad in corruptions(text, rng):
+                want = decoded(reference_graphs.graph6_decode, bad)
+                assert decoded(graph6_decode, bad) == want
+                messages.add(want.split()[0] if isinstance(want, str) else "graph")
+    assert messages == {"graph", "expected", "out-of-range", "nonzero"}
+

@@ -365,6 +365,14 @@ def iso_corpus(family):
             edges = rng.sample(list(itertools.combinations(range(n), 2)), edge_count(g))
             pairs += [(g, shuffled(g, rng)), (g, Graph.from_edges(n, edges))]
         return pairs
+    if family == "small-cubic":
+        # the scan of a copy of a small cubic graph now and then meets a
+        # generator before a second match
+        pairs = []
+        for _ in range(150):
+            g = random_cubic(rng, rng.choice((10, 12)))
+            pairs += [(g, shuffled(g, rng)), (g, random_cubic(rng, g.n))]
+        return pairs
     if family.startswith("cubic-"):
         n = int(family[len("cubic-"):])
         pairs = []
@@ -376,14 +384,21 @@ def iso_corpus(family):
         h = CFI_BASES[family[len("CFI("):-1]][0]
         g, twisted = cfi(h), cfi(h, twisted=True)
         return [(g, shuffled(g, rng)), (g, twisted), (g, shuffled(twisted, rng))]
+    if family == "petersen":
+        # both cubic on 10 vertices with 15 edges, so the search decides
+        g = petersen_subsets()
+        return [(g, shuffled(g, rng)), (g, prism(5)), (g, shuffled(prism(5), rng))]
     g = {"K(7,3)": kneser(7, 3), "J(7,3,1)": johnson_general(7, 3, 1), "edgeless-12": Graph(12, (0,) * 12)}[family]
-    return [(g, shuffled(g, rng)) for _ in range(4)]
+    pairs = [(g, shuffled(g, rng)) for _ in range(4)]
+    if edge_count(g):
+        pairs.append((g, shuffled(switch_two_edges(g, rng), rng)))
+    return pairs
 
 
 @pytest.mark.parametrize(
     "family",
-    ["random", "cubic-20", "cubic-36", "cubic-50", "K(7,3)", "J(7,3,1)", "edgeless-12",
-     "CFI(K4)", "CFI(Q3)", "CFI(petersen)"],
+    ["random", "small-cubic", "cubic-20", "cubic-36", "cubic-50", "petersen", "K(7,3)", "J(7,3,1)",
+     "edgeless-12", "CFI(K4)", "CFI(Q3)", "CFI(petersen)"],
 )
 def test_are_isomorphic_matches_two_canonical_forms(family):
     # The mapping, not only the verdict: the search of the second graph
@@ -398,7 +413,7 @@ def test_are_isomorphic_matches_two_canonical_forms(family):
 
 
 def test_target_search_leaf_counts(monkeypatch):
-    # the search of the second graph reaches only the leaf it returns,
+    # the searches of the second graph reach only the leaf they return,
     # and no leaf at all on a non-isomorphic rigid pair with equal n and m
     visited = []
     leaf = search._IRSearch._leaf
@@ -419,22 +434,28 @@ def test_target_search_leaf_counts(monkeypatch):
     assert len(visited) == 1
 
 
-def probe(g):
-    """The probe's first leaf, and the automorphism it found or None."""
-    p = search._Probe(g)
-    _, twin = p.run()
-    return p.first, None if twin is None else search._mapping(twin[0], p.first[0])
+def scan(g, h):
+    """g's first leaf, and the scan of h for it that ``are_isomorphic`` runs."""
+    order, cert, traces = search._IRSearch(g).first_leaf()
+    s = search._IRSearch(h, (traces, cert), stop_after=2)
+    s.run()
+    return (order, cert, traces), s
 
 
-def assert_probe_finds(g, has_automorphism):
-    first, gamma = probe(g)
+def assert_scan_finds_rigidity(g, has_automorphism, rng):
+    # the scan of a relabelled copy calls g rigid exactly when it is, and
+    # a search that reuses the walk of the first path finds what one from
+    # scratch finds
+    (order, cert, traces), s = scan(g, shuffled(g, rng))
     full = search._IRSearch(g)
-    full.run()
-    assert first == full.first
-    assert (gamma is not None) == has_automorphism
-    if gamma is not None:
-        assert not gamma.is_identity()
-        assert is_automorphism(g, gamma)
+    want = full.run()
+    walked = search._IRSearch(g)
+    walked.first_leaf()
+    assert walked.run() == want
+    assert (order, cert) == full.first
+    assert list(traces) == reference_search.path_trace(g, order)
+    assert s.best is not None
+    assert (s.matches > 1 or bool(s.gens)) == has_automorphism
 
 
 def test_probe_finds_an_automorphism_exactly_when_there_is_one_random():
@@ -443,47 +464,81 @@ def test_probe_finds_an_automorphism_exactly_when_there_is_one_random():
     for _ in range(300):
         g = random_graph(rng, rng.randint(1, 10), rng.choice((0.2, 0.35, 0.5)))
         has_automorphism = len(brute_force_automorphisms(g)) > 1
-        assert_probe_finds(g, has_automorphism)
+        assert_scan_finds_rigidity(g, has_automorphism, rng)
         found += has_automorphism
     assert 0 < found < 300
 
 
 @pytest.mark.parametrize(
     "family",
-    ["random", "cubic-20", "cubic-36", "cubic-50", "K(7,3)", "J(7,3,1)", "edgeless-12",
-     "CFI(K4)", "CFI(Q3)", "CFI(petersen)"],
+    ["random", "small-cubic", "cubic-20", "cubic-36", "cubic-50", "petersen", "K(7,3)", "J(7,3,1)",
+     "edgeless-12", "CFI(K4)", "CFI(Q3)", "CFI(petersen)"],
 )
 def test_probe_finds_an_automorphism_exactly_when_there_is_one(family):
     # the iso corpus, CFI plain and twisted included
+    rng = random.Random(family)
     for pair in iso_corpus(family):
         for g in pair:
-            assert_probe_finds(g, automorphism_group(g) != (Permutation.identity(g.n),))
+            assert_scan_finds_rigidity(g, automorphism_group(g) != (Permutation.identity(g.n),), rng)
+
+
+def test_small_cubic_scans_end_at_a_generator():
+    # only a scan that ends at a generator after one match shows that the
+    # generator decides: there the mapping from the first leaf onto that
+    # match is often not the one from two canonical forms
+    ends = misses = 0
+    for g, h in iso_corpus("small-cubic"):
+        (order, _, _), s = scan(g, h)
+        if s.matches == 1 and s.gens:
+            ends += 1
+            misses += search._mapping(order, s.best[0]) != reference_search.are_isomorphic(g, h)
+    assert ends >= 5 and misses >= 3
 
 
 def test_iso_leaf_counts_on_rigid_pairs(monkeypatch):
-    # a rigid first graph gets the probe, which meets only its first leaf,
-    # and no canonical search; the canonical search met 36 leaves here
-    visited = {"probe": 0, "target": 0, "canonical": 0}
-    probe_leaf, leaf = search._Probe._leaf, search._IRSearch._leaf
+    # a rigid first graph gets its first path and the scan of the second
+    # graph, which meets only the leaf it returns, and no canonical
+    # search; the canonical search met 36 leaves here
+    visited = {"first path": 0, "scan": 0, "target": 0, "canonical": 0}
+    first_leaf, leaf = search._IRSearch.first_leaf, search._IRSearch._leaf
 
-    def counting_probe(self, order, *path):
-        visited["probe"] += 1
-        return probe_leaf(self, order, *path)
+    def counting_first(self):
+        visited["first path"] += 1
+        return first_leaf(self)
 
     def counting(self, order, *path):
-        if type(self) is search._IRSearch:
-            visited["canonical" if self.target_cert is None else "target"] += 1
+        kind = "canonical" if self.target_cert is None else "scan" if self.stop_after == 2 else "target"
+        visited[kind] += 1
         return leaf(self, order, *path)
 
-    monkeypatch.setattr(search._Probe, "_leaf", counting_probe)
+    monkeypatch.setattr(search._IRSearch, "first_leaf", counting_first)
     monkeypatch.setattr(search._IRSearch, "_leaf", counting)
     a = graph6_decode(ISO_GOLDEN_CUBIC[0])
     b = graph6_decode(ISO_GOLDEN_CUBIC[1])
     assert are_isomorphic(a, b) is not None
-    assert visited == {"probe": 1, "target": 1, "canonical": 0}
-    visited.update(probe=0, target=0)
+    assert visited == {"first path": 1, "scan": 1, "target": 0, "canonical": 0}
+    visited.update({kind: 0 for kind in visited})
     assert are_isomorphic(CUBIC_36, GOLDEN_CANON["cubic-36-b"][0]) is None
-    assert visited == {"probe": 1, "target": 0, "canonical": 0}
+    assert visited == {"first path": 1, "scan": 0, "target": 0, "canonical": 0}
+    visited.update({kind: 0 for kind in visited})
+    # Petersen's scan ends at its second match; the search for the
+    # canonical leaf follows
+    assert are_isomorphic(petersen_subsets(), petersen_classic()) is not None
+    assert visited == {"first path": 1, "scan": 2, "target": 1, "canonical": 5}
+
+
+def switch_two_edges(g, rng):
+    """g with edges {a, b} and {c, d} replaced by the non-edges {a, d} and
+    {c, b}: every degree is kept, so a regular graph stays regular, which
+    no move of one edge allows."""
+    edges = g.edges()
+    while True:
+        (a, b), (c, d) = rng.sample(edges, 2)
+        if rng.random() < 0.5:
+            c, d = d, c
+        if len({a, b, c, d}) == 4 and not g.has_edge(a, d) and not g.has_edge(c, b):
+            kept = set(edges) - {(a, b), (min(c, d), max(c, d))}
+            return Graph.from_edges(g.n, sorted(kept | {(min(a, d), max(a, d)), (min(c, b), max(c, b))}))
 
 
 def move_one_edge(g, rng):
