@@ -30,12 +30,14 @@ from .verify import verify_petersen
 
 
 def _read_graph(path: str) -> Graph:
+    # bytes from a file and from stdin alike, so that both decode one way
+    # and a non-ASCII byte gets the same message, which names it
     if path == "-":
-        text = sys.stdin.read()
+        data = sys.stdin.buffer.read()
     else:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
-    return graph6_decode(text)
+        with open(path, "rb") as fh:
+            data = fh.read()
+    return graph6_decode(data.decode("ascii"))
 
 
 def _emit(g: Graph, fmt: str) -> None:

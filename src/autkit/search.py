@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .graphs import Graph, edge_count, permute_graph
 from .perms import CapacityError, Permutation
@@ -29,9 +29,6 @@ BRUTE_FORCE_MAX_VERTICES = 10
 _Trace = list[tuple[int, int]]
 #: a leaf of the search: its vertex order, certificate, and the trace of each depth
 _Leaf = tuple[list[int], bytes, tuple[_Trace, ...]]
-#: a node of the search: ``lab``, ``end`` and ``cellof`` of its partition (see
-#: ``_refine``), and the split trace of the refinement that made it
-_Node = tuple[list[int], list[int], list[int], _Trace]
 
 
 @dataclass(frozen=True)
@@ -346,12 +343,15 @@ class _IRSearch:
     That argument uses of the target only its traces and certificate, not
     that it is canonical: a graph holds a leaf with the traces and
     certificate of any leaf of another graph exactly when the two graphs
-    are isomorphic.  ``are_isomorphic`` takes as target the first leaf F
-    of g1, the leaf that ``first_leaf`` reaches by walking g1's first
-    path, and scans g2 with ``stop_after=2``: the search goes on after
-    its first match and ends at the second, or at g2's first generator
-    once a match has been met.  When g1 and g2 are isomorphic, the scan
-    meets a second match or a generator exactly when g1 is not rigid:
+    are isomorphic.  ``on_first`` is called once, with the first leaf's
+    vertex order, certificate and traces: a true result ends the search
+    there, and after a false one the search goes on as if it had not been
+    called.  ``are_isomorphic`` pauses g1's search this way at its first
+    leaf F, takes F as target and scans g2 with ``stop_after=2``: the
+    scan goes on after its first match and ends at the second, or at g2's
+    first generator once a match has been met.  When g1 and g2 are
+    isomorphic, the scan meets a second match or a generator exactly when
+    g1 is not rigid:
 
     1. Each isomorphism phi from g1 to g2 maps F's path onto a path of g2
        with F's traces at every depth, which ends in a leaf with F's
@@ -380,6 +380,7 @@ class _IRSearch:
         g: Graph,
         target: Optional[tuple[Sequence[_Trace], bytes]] = None,
         stop_after: int = 1,
+        on_first: Optional[Callable[[list[int], bytes, tuple[_Trace, ...]], bool]] = None,
     ) -> None:
         if g.n < 1:
             raise ValueError("graph must have at least one vertex")
@@ -393,41 +394,17 @@ class _IRSearch:
         self.first_prefix: tuple[int, ...] = ()
         # the canonical leaf so far, or with a target the first leaf that has its certificate
         self.best: Optional[_Leaf] = None
-        # the partitions of the first path left to take, deepest first (see first_leaf)
-        self.walked: list[_Node] = []
+        # called with the first leaf's order, certificate and traces; true ends the search
+        self.on_first = on_first
 
     def run(self) -> tuple[tuple[Permutation, ...], Optional[_Leaf]]:
-        root = self.walked.pop() if self.walked else self._root()
-        if root is not None:
-            lab, end, cellof, trace = root
-            self._node(lab, end, cellof, (), (trace,))
-        return tuple(self.gens), self.best
-
-    def first_leaf(self) -> _Leaf:
-        """The first leaf that ``run`` meets without a target, found by
-        walking the first path alone.  A later ``run`` takes the path's
-        partitions from this walk instead of refining them again."""
-        node = self._root()
-        path: list[_Node] = []
-        while node is not None:
-            path.append(node)
-            lab, end, cellof, _ = node
-            target = self._target_cell(end)
-            node = None if target is None else self._child(lab, end, cellof, target, lab[target], None)
-        self.walked = path[::-1]
-        order = path[-1][0]
-        return order, _cert_bytes(self.nbrs, order), tuple(trace for *_, trace in path)
-
-    def _root(self) -> Optional[_Node]:
-        """The unit partition refined, and its split trace; None when the
-        trace leaves the target's."""
         # one list of dirty flags serves every refinement: each ends clean
         lab, end, cellof, self.dirty = _flatten(len(self.nbrs), [range(len(self.nbrs))])
         trace: _Trace = []
         expect = self.target_trace[0] if self.target_trace else None
-        if not _refine(self.nbrs, lab, end, cellof, self.dirty, 0, trace, expect):
-            return None
-        return lab, end, cellof, trace
+        if _refine(self.nbrs, lab, end, cellof, self.dirty, 0, trace, expect):
+            self._node(lab, end, cellof, (), (trace,))
+        return tuple(self.gens), self.best
 
     @staticmethod
     def _target_cell(end: list[int]) -> Optional[int]:
@@ -441,38 +418,6 @@ class _IRSearch:
             i = end[i]
         return best
 
-    def _child(
-        self,
-        lab: list[int],
-        end: list[int],
-        cellof: list[int],
-        target: int,
-        v: int,
-        expect: Optional[_Trace],
-    ) -> Optional[_Node]:
-        """The child that individualizes v of the target cell, refined, and
-        its split trace; None when the trace leaves ``expect``.
-
-        v goes alone at the cell's start, then the rest of the cell.  Only
-        those two cells start dirty: every other cell c is a cell of the
-        node, and every child cell lies inside a cell of the node, whose
-        vertices all have equally many neighbours in c; so c splits
-        nothing."""
-        stop = end[target]
-        rest = [u for u in lab[target:stop] if u != v]
-        child_lab, child_end, child_cellof = lab[:], end[:], cellof[:]
-        child_lab[target] = v
-        child_lab[target + 1:stop] = rest
-        child_end[target] = target + 1
-        child_end[target + 1] = stop
-        for u in rest:
-            child_cellof[u] = target + 1
-        self.dirty[target] = self.dirty[target + 1] = True
-        trace: _Trace = []
-        if not _refine(self.nbrs, child_lab, child_end, child_cellof, self.dirty, target, trace, expect):
-            return None
-        return child_lab, child_end, child_cellof, trace
-
     def _node(
         self,
         lab: list[int],
@@ -483,21 +428,35 @@ class _IRSearch:
     ) -> int:
         """Search the subtree of a node with an equitable partition, reached
         by individualizing ``prefix`` with split traces ``traces``; return
-        the depth of the node to resume at, -1 to end the search."""
+        the depth of the node to resume at, -1 to end the search.
+
+        A child individualizes a vertex v of the target cell: v alone at
+        the cell's start, then the rest of the cell.  Only those two cells
+        start dirty: every other cell c is a cell of the node, and every
+        child cell lies inside a cell of the node, whose vertices all have
+        equally many neighbours in c; so c splits nothing."""
         target = self._target_cell(end)
         if target is None:
             return self._leaf(lab, prefix, traces)
         depth = len(prefix)
         expect = self.target_trace[depth + 1] if self.target_trace else None
+        stop = end[target]
         covered: set[int] = set()
-        for v in lab[target:end[target]]:
+        for v in lab[target:stop]:
             if v in covered:
                 continue
-            # the first child of each node on the first path was walked already
-            child = self.walked.pop() if self.walked else self._child(lab, end, cellof, target, v, expect)
-            if child is None:
+            rest = [u for u in lab[target:stop] if u != v]
+            child_lab, child_end, child_cellof = lab[:], end[:], cellof[:]
+            child_lab[target] = v
+            child_lab[target + 1:stop] = rest
+            child_end[target] = target + 1
+            child_end[target + 1] = stop
+            for u in rest:
+                child_cellof[u] = target + 1
+            self.dirty[target] = self.dirty[target + 1] = True
+            trace: _Trace = []
+            if not _refine(self.nbrs, child_lab, child_end, child_cellof, self.dirty, target, trace, expect):
                 continue
-            child_lab, child_end, child_cellof, trace = child
             jump = self._node(child_lab, child_end, child_cellof, prefix + (v,), traces + (trace,))
             if jump < depth:
                 return jump
@@ -537,6 +496,8 @@ class _IRSearch:
         if self.first is None:
             self.first = (order, cert)
             self.first_prefix = prefix
+            if self.on_first is not None and self.on_first(order, cert, traces):
+                return -1
         elif cert == self.first[1]:
             self.gens.append(_mapping(order, self.first[0]))
             if self.matches:
@@ -589,33 +550,40 @@ def are_isomorphic(g1: Graph, g2: Graph) -> Optional[Permutation]:
     """An explicit isomorphism g1 -> g2 (verified before returning), or
     None when the graphs are not isomorphic.
 
-    The first leaf F of g1 is the target of one scan of g2, which counts
-    the leaves with F's traces and certificate up to two (see
-    ``_IRSearch``).
+    g1's canonical search pauses at its first leaf F for one scan of g2,
+    which counts the leaves with F's traces and certificate up to two
+    (see ``_IRSearch``).
 
-    - No such leaf: the graphs are not isomorphic, and g1 gets no further
-      search.
+    - No such leaf: the graphs are not isomorphic, and g1's search ends
+      at F.
     - One, and no generator of g2: g1 is rigid.  A rigid graph has
       exactly one isomorphism onto g2, so the mapping from F onto that
-      leaf is the one from g1's canonical leaf onto g2's.
-    - Otherwise g1 has automorphisms.  A canonical search of g1, which
-      reuses the walk of its first path, and a search of g2 for g1's
-      canonical leaf follow, and the leaf found is
-      the one ``canonical_form(g2)`` returns, so the mapping takes g1's
-      canonical vertex order onto g2's."""
+      leaf is the one from g1's canonical leaf onto g2's.  g1's search
+      ends at F here too.
+    - Otherwise g1 has automorphisms.  g1's canonical search goes on from
+      F, and a search of g2 for g1's canonical leaf follows; the leaf
+      found is the one ``canonical_form(g2)`` returns, so the mapping
+      takes g1's canonical vertex order onto g2's."""
     if g1.n < 1 or g2.n < 1:
         raise ValueError("graph must have at least one vertex")
     if g1.n != g2.n or edge_count(g1) != edge_count(g2):
         return None
-    first = _IRSearch(g1)
-    order, cert, traces = first.first_leaf()
-    scan = _IRSearch(g2, (traces, cert), stop_after=2)
-    _, leaf = scan.run()
-    if leaf is None:
-        return None
-    if scan.matches > 1 or scan.gens:
-        _, best = first.run()
-        assert best is not None
+    # F's vertex order and the scan's first match
+    scanned: list = []
+
+    def scan(order: list[int], cert: bytes, traces: tuple[_Trace, ...]) -> bool:
+        search = _IRSearch(g2, (traces, cert), stop_after=2)
+        _, leaf = search.run()
+        scanned[:] = order, leaf
+        return leaf is None or search.matches == 1 and not search.gens
+
+    _, best = _IRSearch(g1, on_first=scan).run()
+    if best is None:
+        # the scan ended g1's search at F, before F became best
+        order, leaf = scanned
+        if leaf is None:
+            return None
+    else:
         order, cert, traces = best
         _, leaf = _IRSearch(g2, (traces, cert)).run()
         assert leaf is not None

@@ -106,21 +106,17 @@ def _homomorphism_pairs(elements: list[Permutation], images: list[Permutation]) 
     phi_bytes = [bytes(img.images) for img in images]
     phi = dict(zip(g_bytes, phi_bytes))
     n = len(elements)
-    # An image of another degree than phi(elements[0]) fails its pair in
-    # the first row, so the scan ends there; earlier first-row pairs, all
-    # of one degree, may still fail first.
-    cut = next((j for j, img in enumerate(phi_bytes) if len(img) != len(phi_bytes[0])), None)
-    rows, columns = (n, n) if cut is None else (1, cut)
-    g_tables = [g + _IDENTITY_TABLE[len(g):] for g in g_bytes[:columns]]
-    phi_tables = [img + _IDENTITY_TABLE[len(img):] for img in phi_bytes[:columns]]
-    for i in range(rows):
+    # closure lists the identity first, so row 0 compares each phi(h) with
+    # phi(identity) * phi(h), which has phi(identity)'s degree: the scan
+    # stops in row 0 at the first image of another degree, if not before.
+    g_tables = [g + _IDENTITY_TABLE[len(g):] for g in g_bytes]
+    phi_tables = [img + _IDENTITY_TABLE[len(img):] for img in phi_bytes]
+    for i in range(n):
         lhs = list(map(phi.__getitem__, map(g_bytes[i].translate, g_tables)))
         rhs = list(map(phi_bytes[i].translate, phi_tables))
         if lhs != rhs:
             j = next(j for j, (left, right) in enumerate(zip(lhs, rhs)) if left != right)
             return False, i * n + j + 1
-    if cut is not None:
-        return False, cut + 1
     return True, n * n
 
 

@@ -83,11 +83,13 @@ def all_masks(n):
 
 
 def run_cli(args, stdin_text=None):
+    """``python -m autkit args``; with bytes on stdin, stdout and stderr
+    come back as bytes too."""
     return subprocess.run(
         [sys.executable, "-m", "autkit", *args],
         input=stdin_text,
         capture_output=True,
-        text=True,
+        text=not isinstance(stdin_text, bytes),
     )
 
 

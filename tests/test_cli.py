@@ -146,6 +146,31 @@ def test_aut_rejects_malformed_graph6():
     assert "error:" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "data",
+    [b"\xff", b"I\xc3\xa9", b"IsP@OkWHG\xa0\n", b"IsP@OkWHG\r\n", b"garbage!!", b"IheA@GUAo\r\nIheA@GUAo\n"],
+    ids=["0xff", "utf-8", "trailing-0xa0", "crlf", "garbage", "two-lines"],
+)
+def test_graph6_bytes_read_alike_from_file_and_stdin(data, tmp_path):
+    # the same bytes give the same output and exit code either way, and a
+    # non-ASCII byte is named in the message, UTF-8 text included
+    path = tmp_path / "g.g6"
+    path.write_bytes(data)
+    from_file = run_cli(["aut", str(path)], stdin_text=b"")
+    from_stdin = run_cli(["aut"], stdin_text=data)
+    assert (from_stdin.returncode, from_stdin.stdout, from_stdin.stderr) == (
+        from_file.returncode, from_file.stdout, from_file.stderr,
+    )
+    wide = [i for i, byte in enumerate(data) if byte > 127]
+    if wide:
+        i = wide[0]
+        assert from_file.returncode == 2
+        assert from_file.stderr.decode() == (
+            f"error: 'ascii' codec can't decode byte {data[i]:#x} in position {i}: ordinal not in range(128)\n"
+        )
+    assert from_file.returncode == (0 if data.startswith(b"IsP@OkWHG\r") else 2)
+
+
 def test_aut_names_multi_line_graph6_input(tmp_path):
     path = tmp_path / "two.g6"
     path.write_text("IheA@GUAo\nIheA@GUAo\n")

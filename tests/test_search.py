@@ -435,23 +435,28 @@ def test_target_search_leaf_counts(monkeypatch):
 
 
 def scan(g, h):
-    """g's first leaf, and the scan of h for it that ``are_isomorphic`` runs."""
-    order, cert, traces = search._IRSearch(g).first_leaf()
-    s = search._IRSearch(h, (traces, cert), stop_after=2)
-    s.run()
-    return (order, cert, traces), s
+    """g's first leaf, the scan of h for it that ``are_isomorphic`` runs
+    from inside g's search, and what g's search returns when the scan
+    lets it go on."""
+    scans = []
+
+    def hook(order, cert, traces):
+        s = search._IRSearch(h, (traces, cert), stop_after=2)
+        s.run()
+        scans.append(((order, cert, traces), s))
+        return False
+
+    result = search._IRSearch(g, on_first=hook).run()
+    [(leaf, s)] = scans
+    return leaf, s, result
 
 
 def assert_scan_finds_rigidity(g, has_automorphism, rng):
     # the scan of a relabelled copy calls g rigid exactly when it is, and
-    # a search that reuses the walk of the first path finds what one from
-    # scratch finds
-    (order, cert, traces), s = scan(g, shuffled(g, rng))
+    # a search that goes on after the scan finds what a fresh one finds
+    (order, cert, traces), s, result = scan(g, shuffled(g, rng))
     full = search._IRSearch(g)
-    want = full.run()
-    walked = search._IRSearch(g)
-    walked.first_leaf()
-    assert walked.run() == want
+    assert result == full.run()
     assert (order, cert) == full.first
     assert list(traces) == reference_search.path_trace(g, order)
     assert s.best is not None
@@ -488,7 +493,7 @@ def test_small_cubic_scans_end_at_a_generator():
     # match is often not the one from two canonical forms
     ends = misses = 0
     for g, h in iso_corpus("small-cubic"):
-        (order, _, _), s = scan(g, h)
+        (order, _, _), s, _ = scan(g, h)
         if s.matches == 1 and s.gens:
             ends += 1
             misses += search._mapping(order, s.best[0]) != reference_search.are_isomorphic(g, h)
@@ -496,35 +501,30 @@ def test_small_cubic_scans_end_at_a_generator():
 
 
 def test_iso_leaf_counts_on_rigid_pairs(monkeypatch):
-    # a rigid first graph gets its first path and the scan of the second
-    # graph, which meets only the leaf it returns, and no canonical
-    # search; the canonical search met 36 leaves here
-    visited = {"first path": 0, "scan": 0, "target": 0, "canonical": 0}
-    first_leaf, leaf = search._IRSearch.first_leaf, search._IRSearch._leaf
-
-    def counting_first(self):
-        visited["first path"] += 1
-        return first_leaf(self)
+    # a rigid first graph's search ends at its first leaf, after the scan
+    # of the second graph, which meets only the leaf it returns; the
+    # canonical search met 36 leaves here
+    visited = {"scan": 0, "target": 0, "canonical": 0}
+    leaf = search._IRSearch._leaf
 
     def counting(self, order, *path):
         kind = "canonical" if self.target_cert is None else "scan" if self.stop_after == 2 else "target"
         visited[kind] += 1
         return leaf(self, order, *path)
 
-    monkeypatch.setattr(search._IRSearch, "first_leaf", counting_first)
     monkeypatch.setattr(search._IRSearch, "_leaf", counting)
     a = graph6_decode(ISO_GOLDEN_CUBIC[0])
     b = graph6_decode(ISO_GOLDEN_CUBIC[1])
     assert are_isomorphic(a, b) is not None
-    assert visited == {"first path": 1, "scan": 1, "target": 0, "canonical": 0}
+    assert visited == {"scan": 1, "target": 0, "canonical": 1}
     visited.update({kind: 0 for kind in visited})
     assert are_isomorphic(CUBIC_36, GOLDEN_CANON["cubic-36-b"][0]) is None
-    assert visited == {"first path": 1, "scan": 0, "target": 0, "canonical": 0}
+    assert visited == {"scan": 0, "target": 0, "canonical": 1}
     visited.update({kind: 0 for kind in visited})
-    # Petersen's scan ends at its second match; the search for the
-    # canonical leaf follows
+    # Petersen's scan ends at its second match; the canonical search goes
+    # on from the first leaf, and the search for its canonical leaf follows
     assert are_isomorphic(petersen_subsets(), petersen_classic()) is not None
-    assert visited == {"first path": 1, "scan": 2, "target": 1, "canonical": 5}
+    assert visited == {"scan": 2, "target": 1, "canonical": 5}
 
 
 def switch_two_edges(g, rng):

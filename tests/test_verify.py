@@ -314,6 +314,49 @@ def test_homomorphism_pairs_match_tuple_reference_seeded_corruptions():
     assert any(ok for ok, _ in positions)
 
 
+def mutated_image(rng, kind, img):
+    """``img`` changed by one seeded mutation of the given kind."""
+    images = list(img.images)
+    if kind == "swap":
+        a, b = rng.sample(range(len(images)), 2)
+        images[a], images[b] = images[b], images[a]
+        return Permutation(images)
+    if kind == "truncate":
+        # the relative order of the first k points, a permutation of degree k
+        kept = images[:rng.randint(1, len(images) - 1)]
+        return Permutation([sorted(kept).index(x) for x in kept])
+    if kind == "extend":
+        return Permutation(images + list(range(len(images), len(images) + rng.randint(1, 4))))
+    if kind == "degree 1":
+        return Permutation.identity(1)
+    s = rng.randrange(1, len(images))
+    return Permutation(images[s:] + images[:s])
+
+
+def test_homomorphism_pairs_match_tuple_reference_on_mutated_tables():
+    # the byte-table scan against the itemgetter scan on phi tables with
+    # one to three images mutated, the identity's among them at times:
+    # images of another degree must fail at the reference's position
+    rng = random.Random("mutated phi tables")
+    group = s5_elements()
+    kinds = ("swap", "truncate", "extend", "degree 1", "shift")
+    outcomes = set()
+    for case in range(300):
+        generators = list(s5_generators()) if case % 3 == 0 else rng.sample(group, rng.randint(1, 3))
+        elements, images = _phi_table(generators, induced_action)
+        kind = kinds[case % len(kinds)]
+        chosen = set(rng.sample(range(len(elements)), min(len(elements), rng.randint(1, 3))))
+        if rng.random() < 0.2:
+            chosen.add(0)
+        for i in sorted(chosen):
+            images[i] = mutated_image(rng, kind, images[i])
+        result = _homomorphism_pairs(elements, images)
+        assert result == reference_verify._homomorphism_pairs(elements, images), (case, kind)
+        outcomes.add((kind, result))
+    assert {kind for kind, (ok, _) in outcomes if not ok} == set(kinds)
+    assert len({k for _, (ok, k) in outcomes if not ok}) > 40
+
+
 def padded_action(degree):
     """The induced action with the points past 10 fixed, up to ``degree``."""
     return lambda p: Permutation(induced_action(p).images + tuple(range(10, degree)))
