@@ -25,7 +25,7 @@ from .graphs import (
     petersen_subsets,
     to_dot,
 )
-from .search import _automorphisms, are_isomorphic, canonical_form
+from .search import are_isomorphic, automorphisms, canonical_form
 from .verify import verify_petersen
 
 
@@ -93,7 +93,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_aut(args: argparse.Namespace) -> int:
     g = _read_graph(args.input)
-    gens, order = _automorphisms(g)
+    gens, order = automorphisms(g)
     for gen in gens:
         print(gen.cycle_string())
     print(f"order {order}")

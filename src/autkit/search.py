@@ -4,6 +4,7 @@ backtracking, plus an exhaustive brute-force oracle."""
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -16,6 +17,7 @@ __all__ = [
     "CanonicalForm",
     "refine",
     "automorphism_group",
+    "automorphisms",
     "canonical_form",
     "are_isomorphic",
     "brute_force_automorphisms",
@@ -373,6 +375,15 @@ class _IRSearch:
     isomorphism onto an isomorphic graph, so when g1 is rigid the mapping
     from F onto the first match is the mapping from canonical leaf to
     canonical leaf.
+
+    ``run()`` returns the search, whose attributes are its record:
+    ``gens``, for ``automorphisms`` and the scan's verdict; the first
+    leaf's vertex order and certificate ``first``, for ``are_isomorphic``
+    (it is F), and its path ``first_prefix``, along which
+    ``automorphisms`` takes the orbits; ``best``, for ``canonical_form``
+    and ``are_isomorphic``; ``matches``, the leaves with the target
+    certificate, for the scan's verdict; and ``leaves``, every leaf
+    visited, for the tests.
     """
 
     def __init__(
@@ -386,25 +397,22 @@ class _IRSearch:
             raise ValueError("graph must have at least one vertex")
         self.nbrs = [g.neighbors(v) for v in range(g.n)]
         self.target_trace, self.target_cert = target if target is not None else (None, None)
-        # the number of leaves with the target certificate that ends the search
         self.stop_after = stop_after
-        self.matches = 0
+        self.on_first = on_first
+        self.matches = self.leaves = 0
         self.gens: list[Permutation] = []
         self.first: Optional[tuple[list[int], bytes]] = None
         self.first_prefix: tuple[int, ...] = ()
-        # the canonical leaf so far, or with a target the first leaf that has its certificate
         self.best: Optional[_Leaf] = None
-        # called with the first leaf's order, certificate and traces; true ends the search
-        self.on_first = on_first
 
-    def run(self) -> tuple[tuple[Permutation, ...], Optional[_Leaf]]:
+    def run(self) -> _IRSearch:
         # one list of dirty flags serves every refinement: each ends clean
         lab, end, cellof, self.dirty = _flatten(len(self.nbrs), [range(len(self.nbrs))])
         trace: _Trace = []
         expect = self.target_trace[0] if self.target_trace else None
         if _refine(self.nbrs, lab, end, cellof, self.dirty, 0, trace, expect):
             self._node(lab, end, cellof, (), (trace,))
-        return tuple(self.gens), self.best
+        return self
 
     @staticmethod
     def _target_cell(end: list[int]) -> Optional[int]:
@@ -464,15 +472,15 @@ class _IRSearch:
             self._close_orbits(covered, prefix)
         return depth
 
-    def _close_orbits(self, points: set[int], prefix: tuple[int, ...]) -> None:
+    def _close_orbits(self, points: set[int], prefix: tuple[int, ...]) -> set[int]:
         """Grow ``points`` in place to its orbit under the generators
-        found so far that fix every vertex of ``prefix``."""
+        found so far that fix every vertex of ``prefix``; return it."""
         stab = [
             gen.images for gen in self.gens
             if all(gen.images[u] == u for u in prefix)
         ]
         if not stab:
-            return
+            return points
         stack = list(points)
         while stack:
             x = stack.pop()
@@ -481,11 +489,13 @@ class _IRSearch:
                 if y not in points:
                     points.add(y)
                     stack.append(y)
+        return points
 
     def _leaf(self, order: list[int], prefix: tuple[int, ...], traces: tuple[_Trace, ...]) -> int:
         """Record the leaf, whose discrete partition is the vertex order
         ``order``; return the depth of the node to resume at, -1 to end
         the search."""
+        self.leaves += 1
         jump = len(prefix)
         cert = _cert_bytes(self.nbrs, order)
         if cert == self.target_cert:
@@ -512,35 +522,27 @@ class _IRSearch:
         return jump
 
 
-def _automorphisms(g: Graph) -> tuple[tuple[Permutation, ...], int]:
-    """``automorphism_group(g)`` and |Aut(g)|, the product over the first
-    path's depths d of the orbit of its depth-d vertex under the
+def automorphisms(g: Graph) -> tuple[tuple[Permutation, ...], int]:
+    """A generating set for Aut(g), deterministically ordered and
+    ``(identity,)`` for a rigid graph, and |Aut(g)|: the product over the
+    first path's depths d of the orbit of its depth-d vertex under the
     generators that fix the vertices above it (see ``_IRSearch``)."""
-    search = _IRSearch(g)
-    gens, _ = search.run()
+    search = _IRSearch(g).run()
     path = search.first_prefix
-    order = 1
-    for d, v in enumerate(path):
-        orbit = {v}
-        search._close_orbits(orbit, path[:d])
-        order *= len(orbit)
-    return gens or (Permutation.identity(g.n),), order
+    order = math.prod(len(search._close_orbits({v}, path[:d])) for d, v in enumerate(path))
+    return tuple(search.gens) or (Permutation.identity(g.n),), order
 
 
 def automorphism_group(g: Graph) -> tuple[Permutation, ...]:
-    """A generating set for Aut(g), deterministically ordered.
-
-    Rigid graphs yield ``(identity,)`` so that the result is always a
-    valid nonempty generator list.
-    """
-    return _automorphisms(g)[0]
+    """The generating set of ``automorphisms(g)``."""
+    return automorphisms(g)[0]
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
     """Canonical form of g: the lexicographically smallest upper-triangle
     adjacency bitstring over all leaves of the refinement tree, with a
     relabelling that realizes it."""
-    _, best = _IRSearch(g).run()
+    best = _IRSearch(g).run().best
     assert best is not None
     order, cert, _ = best
     return CanonicalForm(_mapping(order, range(g.n)), cert)
@@ -568,24 +570,22 @@ def are_isomorphic(g1: Graph, g2: Graph) -> Optional[Permutation]:
         raise ValueError("graph must have at least one vertex")
     if g1.n != g2.n or edge_count(g1) != edge_count(g2):
         return None
-    # F's vertex order and the scan's first match
-    scanned: list = []
+    scanned: Optional[_IRSearch] = None
 
     def scan(order: list[int], cert: bytes, traces: tuple[_Trace, ...]) -> bool:
-        search = _IRSearch(g2, (traces, cert), stop_after=2)
-        _, leaf = search.run()
-        scanned[:] = order, leaf
-        return leaf is None or search.matches == 1 and not search.gens
+        nonlocal scanned
+        scanned = _IRSearch(g2, (traces, cert), stop_after=2).run()
+        return scanned.best is None or scanned.matches == 1 and not scanned.gens
 
-    _, best = _IRSearch(g1, on_first=scan).run()
-    if best is None:
+    search = _IRSearch(g1, on_first=scan).run()
+    if search.best is None:
         # the scan ended g1's search at F, before F became best
-        order, leaf = scanned
+        order, leaf = search.first[0], scanned.best
         if leaf is None:
             return None
     else:
-        order, cert, traces = best
-        _, leaf = _IRSearch(g2, (traces, cert)).run()
+        order, cert, traces = search.best
+        leaf = _IRSearch(g2, (traces, cert)).run().best
         assert leaf is not None
     sigma = _mapping(order, leaf[0])
     if permute_graph(g1, sigma).adj != g2.adj:

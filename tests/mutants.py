@@ -1,0 +1,215 @@
+"""Mutation checks for ``src/autkit/search.py``.
+
+Each mutant replaces one exact snippet of that file, which must occur
+there exactly once, in a temporary copy of ``src/``, and runs the tests
+listed for it with ``PYTHONPATH`` at the copy; one of them must fail.  A
+snippet that does not occur exactly once is an error, so a change that
+moves or rewrites the code breaks the table loudly instead of letting a
+mutant pass unnoticed.  Before the mutants, the listed tests must pass on
+the unchanged copy, so that a failure is the mutant's.
+
+Known survivors are listed with the reason they survive.  Only their
+snippets are checked; they are not run.
+
+Run from any directory, with pytest and hypothesis installed::
+
+    python tests/mutants.py
+
+The exit status is 0 when every mutant is killed.  pytest does not
+collect this file: its name does not start with ``test_``.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TARGET = Path("src", "autkit", "search.py")
+SEARCH = "tests/test_search.py::"
+CLI = "tests/test_cli.py::"
+
+
+class Mutant(NamedTuple):
+    name: str
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]
+
+
+class Survivor(NamedTuple):
+    name: str
+    snippet: str
+    replacement: str
+    reason: str
+
+
+MUTANTS = (
+    # |Aut| as the product of the first path's stabilizer orbits
+    Mutant(
+        "orbit replaced by {v}",
+        "len(search._close_orbits({v}, path[:d]))",
+        "len({v})",
+        (
+            CLI + "test_aut_petersen_reports_order_120",
+            SEARCH + "test_search_order_matches_schreier_sims_random",
+        ),
+    ),
+    Mutant(
+        "stabilizer filter dropped from the orbits",
+        "search._close_orbits({v}, path[:d])",
+        "search._close_orbits({v}, ())",
+        (
+            CLI + "test_aut_petersen_reports_order_120",
+            SEARCH + "test_search_order_matches_schreier_sims_random",
+        ),
+    ),
+    # refinement, the tree and its pruning
+    Mutant(
+        "refinement resumes only at the next cell",
+        "            if c < resume:\n                resume = c\n",
+        "",
+        (SEARCH + "test_refine_cells_matches_reference_random",),
+    ),
+    Mutant(
+        "rightmost smallest target cell",
+        "if 1 < end[i] - i < size:",
+        "if 1 < end[i] - i <= size:",
+        (SEARCH + "test_canonical_form_golden",),
+    ),
+    Mutant(
+        "no orbit pruning",
+        "            covered.add(v)\n            self._close_orbits(covered, prefix)\n",
+        "            covered.add(v)\n",
+        (SEARCH + "test_backjump_leaf_counts[petersen]", SEARCH + "test_every_generator_is_new[petersen]"),
+    ),
+    Mutant(
+        "no first-path backjump",
+        "            jump = 0\n"
+        "            while prefix[jump] == self.first_prefix[jump]:\n"
+        "                jump += 1\n",
+        "",
+        (SEARCH + "test_backjump_leaf_counts[petersen]", SEARCH + "test_every_generator_is_new[petersen]"),
+    ),
+    Mutant(
+        "leaves never incremented",
+        "        self.leaves += 1\n",
+        "",
+        (SEARCH + "test_backjump_leaf_counts", SEARCH + "test_iso_leaf_counts_on_rigid_pairs"),
+    ),
+    # the first-leaf hook, and the scan that are_isomorphic runs from it
+    Mutant(
+        "first-leaf hook always ends the search",
+        "and self.on_first(order, cert, traces):",
+        "and (self.on_first(order, cert, traces) or True):",
+        (
+            SEARCH + "test_iso_leaf_counts_on_rigid_pairs",
+            SEARCH + "test_probe_finds_an_automorphism_exactly_when_there_is_one[petersen]",
+        ),
+    ),
+    Mutant(
+        "first-leaf hook result ignored",
+        "            if self.on_first is not None and self.on_first(order, cert, traces):\n"
+        "                return -1\n",
+        "            if self.on_first is not None:\n"
+        "                self.on_first(order, cert, traces)\n",
+        (SEARCH + "test_target_search_leaf_counts", CLI + "test_iso_non_isomorphic_cubic_pair"),
+    ),
+    Mutant(
+        "scan verdict ignores gens",
+        "scanned.matches == 1 and not scanned.gens",
+        "scanned.matches == 1",
+        (SEARCH + "test_are_isomorphic_matches_two_canonical_forms[small-cubic]",),
+    ),
+    Mutant(
+        "scan stops at its first match",
+        "stop_after=2).run()",
+        "stop_after=1).run()",
+        (
+            SEARCH + "test_iso_leaf_counts_on_rigid_pairs",
+            SEARCH + "test_are_isomorphic_matches_two_canonical_forms[small-cubic]",
+        ),
+    ),
+    Mutant(
+        "first graph called rigid after a second match",
+        "scanned.matches == 1 and",
+        "scanned.matches <= 2 and",
+        (
+            SEARCH + "test_iso_leaf_counts_on_rigid_pairs",
+            SEARCH + "test_are_isomorphic_matches_two_canonical_forms[small-cubic]",
+        ),
+    ),
+)
+
+SURVIVORS = (
+    Survivor(
+        "no stop at a generator after a match",
+        "            if self.matches:\n                return -1\n",
+        "",
+        "a scan that goes on past a generator it found after a match only"
+        " adds work: the generator already proves the first graph not"
+        " rigid, and a later match ends the scan with the same verdict and"
+        " the same first match",
+    ),
+)
+
+
+def mutate(source: str, snippet: str, replacement: str) -> str:
+    count = source.count(snippet)
+    if count != 1:
+        raise ValueError(f"the snippet occurs {count} times in {TARGET}, not once: {snippet!r}")
+    return source.replace(snippet, replacement)
+
+
+def pytest(src: Path, tests: tuple[str, ...]) -> int:
+    """pytest's exit status for ``tests`` with the package imported from
+    ``src``.  Without ``-W error``: when a hypothesis test fails, its
+    report can import libcst, which warns on import with some
+    mypy_extensions versions, and the warning as an error ends pytest
+    with an internal error (exit 3) instead of a failure."""
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    done = subprocess.run(command, cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return done.returncode
+
+
+def main() -> int:
+    source = (ROOT / TARGET).read_text(encoding="utf-8")
+    try:
+        mutated = [(m, mutate(source, m.snippet, m.replacement)) for m in MUTANTS]
+        for s in SURVIVORS:
+            mutate(source, s.snippet, s.replacement)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp, "src")
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        copy = Path(tmp, TARGET)
+        # pytest exits 1 when a test fails; 0 is a pass, anything else an
+        # error such as an unknown test id or a module that does not import
+        everything = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+        status = pytest(src, everything)
+        if status != 0:
+            print(f"error: the tests fail on the unchanged copy (pytest exit {status})", file=sys.stderr)
+            return 2
+        failed = 0
+        for m, text in mutated:
+            copy.write_text(text, encoding="utf-8")
+            status = pytest(src, m.tests)
+            verdict = {0: "SURVIVED", 1: "killed"}.get(status, f"ERROR (pytest exit {status})")
+            print(f"{verdict}: {m.name}", flush=True)
+            failed += status != 1
+    for s in SURVIVORS:
+        print(f"known survivor: {s.name}: {s.reason}")
+    print(f"{len(mutated) - failed} of {len(mutated)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

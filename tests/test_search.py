@@ -13,6 +13,7 @@ from autkit import (
     Permutation,
     are_isomorphic,
     automorphism_group,
+    automorphisms,
     brute_force_automorphisms,
     canonical_form,
     closure,
@@ -412,37 +413,51 @@ def test_are_isomorphic_matches_two_canonical_forms(family):
     assert isomorphic > 0
 
 
+def recorded_searches(monkeypatch):
+    """A list that collects the record of every search run from now on."""
+    records = []
+    run = search._IRSearch.run
+
+    def recording(self):
+        records.append(self)
+        return run(self)
+
+    monkeypatch.setattr(search._IRSearch, "run", recording)
+    return records
+
+
+def leaves_per_kind(records):
+    """The leaves the recorded searches visited, summed per kind of search."""
+    visited = {"scan": 0, "target": 0, "canonical": 0}
+    for s in records:
+        visited["canonical" if s.target_cert is None else "scan" if s.stop_after == 2 else "target"] += s.leaves
+    return visited
+
+
 def test_target_search_leaf_counts(monkeypatch):
     # the searches of the second graph reach only the leaf they return,
     # and no leaf at all on a non-isomorphic rigid pair with equal n and m
-    visited = []
-    leaf = search._IRSearch._leaf
-
-    def counting(self, order, *path):
-        if self.target_cert is not None:
-            visited.append(order)
-        return leaf(self, order, *path)
-
-    monkeypatch.setattr(search._IRSearch, "_leaf", counting)
+    records = recorded_searches(monkeypatch)
     a = graph6_decode(ISO_GOLDEN_CUBIC[0])
     b = graph6_decode(ISO_GOLDEN_CUBIC[1])
     assert are_isomorphic(a, b) is not None
-    assert len(visited) == 1
+    visited = leaves_per_kind(records)
+    assert visited["scan"] + visited["target"] == 1
     other = GOLDEN_CANON["cubic-36-b"][0]
     assert (other.n, edge_count(other)) == (CUBIC_36.n, edge_count(CUBIC_36))
     assert are_isomorphic(CUBIC_36, other) is None
-    assert len(visited) == 1
+    visited = leaves_per_kind(records)
+    assert visited["scan"] + visited["target"] == 1
 
 
 def scan(g, h):
-    """g's first leaf, the scan of h for it that ``are_isomorphic`` runs
-    from inside g's search, and what g's search returns when the scan
-    lets it go on."""
+    """g's first leaf, the record of the scan of h for it that
+    ``are_isomorphic`` runs from inside g's search, and the record of g's
+    search when the scan lets it go on."""
     scans = []
 
     def hook(order, cert, traces):
-        s = search._IRSearch(h, (traces, cert), stop_after=2)
-        s.run()
+        s = search._IRSearch(h, (traces, cert), stop_after=2).run()
         scans.append(((order, cert, traces), s))
         return False
 
@@ -455,8 +470,8 @@ def assert_scan_finds_rigidity(g, has_automorphism, rng):
     # the scan of a relabelled copy calls g rigid exactly when it is, and
     # a search that goes on after the scan finds what a fresh one finds
     (order, cert, traces), s, result = scan(g, shuffled(g, rng))
-    full = search._IRSearch(g)
-    assert result == full.run()
+    full = search._IRSearch(g).run()
+    assert (result.gens, result.best) == (full.gens, full.best)
     assert (order, cert) == full.first
     assert list(traces) == reference_search.path_trace(g, order)
     assert s.best is not None
@@ -504,27 +519,19 @@ def test_iso_leaf_counts_on_rigid_pairs(monkeypatch):
     # a rigid first graph's search ends at its first leaf, after the scan
     # of the second graph, which meets only the leaf it returns; the
     # canonical search met 36 leaves here
-    visited = {"scan": 0, "target": 0, "canonical": 0}
-    leaf = search._IRSearch._leaf
-
-    def counting(self, order, *path):
-        kind = "canonical" if self.target_cert is None else "scan" if self.stop_after == 2 else "target"
-        visited[kind] += 1
-        return leaf(self, order, *path)
-
-    monkeypatch.setattr(search._IRSearch, "_leaf", counting)
+    records = recorded_searches(monkeypatch)
     a = graph6_decode(ISO_GOLDEN_CUBIC[0])
     b = graph6_decode(ISO_GOLDEN_CUBIC[1])
     assert are_isomorphic(a, b) is not None
-    assert visited == {"scan": 1, "target": 0, "canonical": 1}
-    visited.update({kind: 0 for kind in visited})
+    assert leaves_per_kind(records) == {"scan": 1, "target": 0, "canonical": 1}
+    records.clear()
     assert are_isomorphic(CUBIC_36, GOLDEN_CANON["cubic-36-b"][0]) is None
-    assert visited == {"scan": 0, "target": 0, "canonical": 1}
-    visited.update({kind: 0 for kind in visited})
+    assert leaves_per_kind(records) == {"scan": 0, "target": 0, "canonical": 1}
+    records.clear()
     # Petersen's scan ends at its second match; the canonical search goes
     # on from the first leaf, and the search for its canonical leaf follows
     assert are_isomorphic(petersen_subsets(), petersen_classic()) is not None
-    assert visited == {"scan": 2, "target": 1, "canonical": 5}
+    assert leaves_per_kind(records) == {"scan": 2, "target": 1, "canonical": 5}
 
 
 def switch_two_edges(g, rng):
@@ -623,7 +630,7 @@ def test_kept_trace_matches_replay(name):
         "CFI(Q3)": cfi(CFI_BASES["Q3"][0]),
     }[name]
     for h in (g, shuffled(g, random.Random(name))):
-        _, (order, cert, traces) = search._IRSearch(h).run()
+        order, cert, traces = search._IRSearch(h).run().best
         assert cert == canonical_form(h).certificate
         assert list(traces) == reference_search.path_trace(h, order)
 
@@ -790,18 +797,8 @@ def test_pruned_search_matches_unpruned_symmetric():
         "cubic-36", "CFI(petersen)", "CFI(petersen) twisted",
     ],
 )
-def test_backjump_leaf_counts(g, leaves, monkeypatch):
-    visited = 0
-    leaf = search._IRSearch._leaf
-
-    def counting(self, order, *path):
-        nonlocal visited
-        visited += 1
-        return leaf(self, order, *path)
-
-    monkeypatch.setattr(search._IRSearch, "_leaf", counting)
-    search._IRSearch(g).run()
-    assert visited == leaves
+def test_backjump_leaf_counts(g, leaves):
+    assert search._IRSearch(g).run().leaves == leaves
 
 
 def assert_every_generator_is_new(g):
@@ -854,7 +851,7 @@ def test_every_generator_is_new_circulant_and_random():
 def search_order(g):
     """|Aut(g)| as ``autkit aut`` prints it, checked against a BSGS of the
     search's own generators."""
-    gens, order = search._automorphisms(g)
+    gens, order = automorphisms(g)
     assert order == reference_perms.schreier_sims(gens).order(), gens
     return order
 
