@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import math
 import sys
 from typing import Optional
 
@@ -57,13 +56,21 @@ def _check_size(args: argparse.Namespace) -> None:
     """Refuse a subset family before building it: past 62 vertices in
     graph6, which ``graph6_encode`` would refuse after the build, and past
     ``_MAX_GEN_VERTICES`` in any format.  Invalid parameters are left to
-    the family's constructor and its message."""
-    valid = 0 <= args.k <= args.n and (args.t is None or 0 <= args.t < args.k)
-    count = math.comb(args.n, args.k) if valid else 0
+    the family's constructor and its message.  The count C(n, k) stops
+    past 10^18, within 60 steps of the product formula as C(n, i) >= 2^i
+    for i <= n / 2: math.comb(20000000, 10000000) would take minutes."""
+    count = 0
+    if 0 <= args.k <= args.n and (args.t is None or 0 <= args.t < args.k):
+        count = 1
+        for i in range(min(args.k, args.n - args.k)):
+            count = count * (args.n - i) // (i + 1)
+            if count > 10**18:
+                break
     if args.format == "graph6" and count > 62:
         raise ValueError("graph6 short form supports at most 62 vertices")
     if count > _MAX_GEN_VERTICES:
-        raise ValueError(f"the graph would have {count} vertices; gen builds at most {_MAX_GEN_VERTICES}")
+        size = "more than 10^18" if count > 10**18 else count
+        raise ValueError(f"the graph would have {size} vertices; gen builds at most {_MAX_GEN_VERTICES}")
 
 
 def cmd_gen(args: argparse.Namespace) -> int:

@@ -291,28 +291,20 @@ def petersen_classic() -> Graph:
     return Graph.from_edges(10, outer + inner + spokes)
 
 
+#: the six data bits of each graph6 character, most significant first,
+#: and the character of each six bits
+_GRAPH6_BITS = {chr(63 + val): f"{val:06b}" for val in range(64)}
+_GRAPH6_CHARS = {bits: ch for ch, bits in _GRAPH6_BITS.items()}
+
+
 def graph6_encode(g: Graph) -> str:
-    """Standard graph6 (short form, n <= 62)."""
+    """Standard graph6 (short form, n <= 62), in the decoder's layout:
+    column j is the low j bits of row j, reversed to read (0, j) first."""
     if g.n > 62:
         raise ValueError("graph6 short form supports at most 62 vertices")
-    out = [chr(g.n + 63)]
-    acc = 0
-    nbits = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            acc = (acc << 1) | ((g.adj[i] >> j) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(acc + 63))
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append(chr((acc << (6 - nbits)) + 63))
-    return "".join(out)
-
-
-#: the six data bits of each graph6 character, most significant first
-_GRAPH6_BITS = {chr(63 + val): f"{val:06b}" for val in range(64)}
+    bits = "".join([f"{g.adj[j] & ((1 << j) - 1):0{j}b}"[::-1] for j in range(1, g.n)])
+    bits += "0" * (-len(bits) % 6)
+    return chr(g.n + 63) + "".join([_GRAPH6_CHARS[bits[i:i + 6]] for i in range(0, len(bits), 6)])
 
 
 def graph6_decode(text: str) -> Graph:

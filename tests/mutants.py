@@ -1,6 +1,6 @@
-"""Mutation checks for ``src/autkit/search.py``.
+"""Mutation checks for the modules of ``src/autkit/``.
 
-Each mutant replaces one exact snippet of that file, which must occur
+Each mutant replaces one exact snippet of its file, which must occur
 there exactly once, in a temporary copy of ``src/``, and runs the tests
 listed for it with ``PYTHONPATH`` at the copy; one of them must fail.  A
 snippet that does not occur exactly once is an error, so a change that
@@ -30,12 +30,19 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-TARGET = Path("src", "autkit", "search.py")
+PACKAGE = Path("src", "autkit")
 SEARCH = "tests/test_search.py::"
 CLI = "tests/test_cli.py::"
+GRAPH6 = "tests/test_graph6.py::"
+GRAPHS = "tests/test_graphs.py::"
+#: hypothesis's report of a failing example imports libcst, which warns on
+#: import with some mypy_extensions versions; as an error, that warning
+#: would end pytest with an internal error (exit 3) instead of a failure
+WARNINGS = ("-W", "error", "-W", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 
 
 class Mutant(NamedTuple):
+    file: str
     name: str
     snippet: str
     replacement: str
@@ -43,6 +50,7 @@ class Mutant(NamedTuple):
 
 
 class Survivor(NamedTuple):
+    file: str
     name: str
     snippet: str
     replacement: str
@@ -52,6 +60,7 @@ class Survivor(NamedTuple):
 MUTANTS = (
     # |Aut| as the product of the first path's stabilizer orbits
     Mutant(
+        "search.py",
         "orbit replaced by {v}",
         "len(search._close_orbits({v}, path[:d]))",
         "len({v})",
@@ -61,6 +70,7 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "search.py",
         "stabilizer filter dropped from the orbits",
         "search._close_orbits({v}, path[:d])",
         "search._close_orbits({v}, ())",
@@ -71,24 +81,28 @@ MUTANTS = (
     ),
     # refinement, the tree and its pruning
     Mutant(
+        "search.py",
         "refinement resumes only at the next cell",
         "            if c < resume:\n                resume = c\n",
         "",
         (SEARCH + "test_refine_cells_matches_reference_random",),
     ),
     Mutant(
+        "search.py",
         "rightmost smallest target cell",
         "if 1 < end[i] - i < size:",
         "if 1 < end[i] - i <= size:",
         (SEARCH + "test_canonical_form_golden",),
     ),
     Mutant(
+        "search.py",
         "no orbit pruning",
         "            covered.add(v)\n            self._close_orbits(covered, prefix)\n",
         "            covered.add(v)\n",
         (SEARCH + "test_backjump_leaf_counts[petersen]", SEARCH + "test_every_generator_is_new[petersen]"),
     ),
     Mutant(
+        "search.py",
         "no first-path backjump",
         "            jump = 0\n"
         "            while prefix[jump] == self.first_prefix[jump]:\n"
@@ -97,6 +111,7 @@ MUTANTS = (
         (SEARCH + "test_backjump_leaf_counts[petersen]", SEARCH + "test_every_generator_is_new[petersen]"),
     ),
     Mutant(
+        "search.py",
         "leaves never incremented",
         "        self.leaves += 1\n",
         "",
@@ -104,15 +119,17 @@ MUTANTS = (
     ),
     # the first-leaf hook, and the scan that are_isomorphic runs from it
     Mutant(
+        "search.py",
         "first-leaf hook always ends the search",
         "and self.on_first(order, cert, traces):",
         "and (self.on_first(order, cert, traces) or True):",
         (
             SEARCH + "test_iso_leaf_counts_on_rigid_pairs",
-            SEARCH + "test_probe_finds_an_automorphism_exactly_when_there_is_one[petersen]",
+            SEARCH + "test_scan_finds_an_automorphism_exactly_when_there_is_one[petersen]",
         ),
     ),
     Mutant(
+        "search.py",
         "first-leaf hook result ignored",
         "            if self.on_first is not None and self.on_first(order, cert, traces):\n"
         "                return -1\n",
@@ -121,12 +138,14 @@ MUTANTS = (
         (SEARCH + "test_target_search_leaf_counts", CLI + "test_iso_non_isomorphic_cubic_pair"),
     ),
     Mutant(
+        "search.py",
         "scan verdict ignores gens",
         "scanned.matches == 1 and not scanned.gens",
         "scanned.matches == 1",
         (SEARCH + "test_are_isomorphic_matches_two_canonical_forms[small-cubic]",),
     ),
     Mutant(
+        "search.py",
         "scan stops at its first match",
         "stop_after=2).run()",
         "stop_after=1).run()",
@@ -136,6 +155,7 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "search.py",
         "first graph called rigid after a second match",
         "scanned.matches == 1 and",
         "scanned.matches <= 2 and",
@@ -144,10 +164,54 @@ MUTANTS = (
             SEARCH + "test_are_isomorphic_matches_two_canonical_forms[small-cubic]",
         ),
     ),
+    # graph6: both directions share the column layout and the alphabet, so
+    # a fault in a shared piece needs a check against an independent one
+    Mutant(
+        "graphs.py",
+        "encoder's column not reversed",
+        ':0{j}b}"[::-1]',
+        ':0{j}b}"',
+        (GRAPH6 + "test_known_petersen_strings", GRAPH6 + "test_decode_matches_the_bit_at_a_time_decoder"),
+    ),
+    Mutant(
+        "graphs.py",
+        "alphabet shifted by one",
+        "chr(63 + val)",
+        "chr(64 + val)",
+        (GRAPH6 + "test_decode_matches_the_bit_at_a_time_decoder", GRAPH6 + "test_known_petersen_strings"),
+    ),
+    Mutant(
+        "graphs.py",
+        "decoder's mirror loop dropped",
+        "        while column:\n"
+        "            low = column & -column\n"
+        "            adj[low.bit_length() - 1] |= bit\n"
+        "            column ^= low\n",
+        "",
+        (GRAPH6 + "test_single_edge_is_A_underscore", GRAPH6 + "test_decode_matches_the_bit_at_a_time_decoder"),
+    ),
+    Mutant(
+        "graphs.py",
+        "symmetry check skipped",
+        "if tuple(transpose) != self.adj:",
+        "if False:",
+        (GRAPHS + "test_graph_validation_messages", GRAPHS + "test_symmetry_check_matches_pairwise_reference"),
+    ),
+    # gen's size check, which must refuse graph6 past 62 vertices before
+    # the build, whatever the count
+    Mutant(
+        "cli.py",
+        "graph6 branch of the size check dropped",
+        '    if args.format == "graph6" and count > 62:\n'
+        '        raise ValueError("graph6 short form supports at most 62 vertices")\n',
+        "",
+        (CLI + "test_gen_rejects_a_huge_family_without_counting_it_exactly",),
+    ),
 )
 
 SURVIVORS = (
     Survivor(
+        "search.py",
         "no stop at a generator after a match",
         "            if self.matches:\n                return -1\n",
         "",
@@ -159,38 +223,35 @@ SURVIVORS = (
 )
 
 
-def mutate(source: str, snippet: str, replacement: str) -> str:
-    count = source.count(snippet)
+def mutate(sources: dict[str, str], m: Mutant | Survivor) -> str:
+    count = sources[m.file].count(m.snippet)
     if count != 1:
-        raise ValueError(f"the snippet occurs {count} times in {TARGET}, not once: {snippet!r}")
-    return source.replace(snippet, replacement)
+        raise ValueError(f"the snippet occurs {count} times in {m.file}, not once: {m.snippet!r}")
+    return sources[m.file].replace(m.snippet, m.replacement)
 
 
 def pytest(src: Path, tests: tuple[str, ...]) -> int:
     """pytest's exit status for ``tests`` with the package imported from
-    ``src``.  Without ``-W error``: when a hypothesis test fails, its
-    report can import libcst, which warns on import with some
-    mypy_extensions versions, and the warning as an error ends pytest
-    with an internal error (exit 3) instead of a failure."""
+    ``src``, with warnings as errors as in the tier-1 tests."""
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
-    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *WARNINGS, *tests]
     done = subprocess.run(command, cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     return done.returncode
 
 
 def main() -> int:
-    source = (ROOT / TARGET).read_text(encoding="utf-8")
+    files = dict.fromkeys(m.file for m in (*MUTANTS, *SURVIVORS))
+    sources = {f: (ROOT / PACKAGE / f).read_text(encoding="utf-8") for f in files}
     try:
-        mutated = [(m, mutate(source, m.snippet, m.replacement)) for m in MUTANTS]
+        mutated = [(m, mutate(sources, m)) for m in MUTANTS]
         for s in SURVIVORS:
-            mutate(source, s.snippet, s.replacement)
+            mutate(sources, s)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp, "src")
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-        copy = Path(tmp, TARGET)
         # pytest exits 1 when a test fails; 0 is a pass, anything else an
         # error such as an unknown test id or a module that does not import
         everything = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
@@ -200,13 +261,15 @@ def main() -> int:
             return 2
         failed = 0
         for m, text in mutated:
+            copy = Path(tmp, PACKAGE, m.file)
             copy.write_text(text, encoding="utf-8")
             status = pytest(src, m.tests)
+            copy.write_text(sources[m.file], encoding="utf-8")
             verdict = {0: "SURVIVED", 1: "killed"}.get(status, f"ERROR (pytest exit {status})")
-            print(f"{verdict}: {m.name}", flush=True)
+            print(f"{verdict}: {m.file}: {m.name}", flush=True)
             failed += status != 1
     for s in SURVIVORS:
-        print(f"known survivor: {s.name}: {s.reason}")
+        print(f"known survivor: {s.file}: {s.name}: {s.reason}")
     print(f"{len(mutated) - failed} of {len(mutated)} mutants killed")
     return 1 if failed else 0
 

@@ -98,6 +98,28 @@ def test_gen_rejects_a_family_past_the_vertex_cap_before_building_it(monkeypatch
     assert run_in_process(["gen", "kneser", "-n", "18", "-k", "9", "--format", "dot"])[0] == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "kneser", "-n", "200000", "-k", "100000"],
+        ["gen", "johnson", "-n", "20000000", "-k", "10000000", "-t", "0"],
+    ],
+    ids=["kneser", "johnson"],
+)
+def test_gen_rejects_a_huge_family_without_counting_it_exactly(monkeypatch, argv):
+    # the count stops past 10^18: an exact one would take minutes for
+    # C(20000000, 10000000), and C(200000, 100000) has more digits than
+    # the interpreter prints
+    for name in ("kneser", "johnson_general"):
+        monkeypatch.setattr(autkit.cli, name, lambda *args: pytest.fail("the family was built"))
+    assert run_in_process(argv + ["--format", "dot"]) == (
+        2,
+        "",
+        "error: the graph would have more than 10^18 vertices; gen builds at most 50000\n",
+    )
+    assert run_in_process(argv) == (2, "", "error: graph6 short form supports at most 62 vertices\n")
+
+
 def test_aut_petersen_reports_order_120():
     g6 = graph6_encode(petersen_subsets())
     proc = run_cli(["aut"], stdin_text=g6 + "\n")

@@ -478,7 +478,7 @@ def assert_scan_finds_rigidity(g, has_automorphism, rng):
     assert (s.matches > 1 or bool(s.gens)) == has_automorphism
 
 
-def test_probe_finds_an_automorphism_exactly_when_there_is_one_random():
+def test_scan_finds_an_automorphism_exactly_when_there_is_one_random():
     rng = random.Random(18)
     found = 0
     for _ in range(300):
@@ -494,7 +494,7 @@ def test_probe_finds_an_automorphism_exactly_when_there_is_one_random():
     ["random", "small-cubic", "cubic-20", "cubic-36", "cubic-50", "petersen", "K(7,3)", "J(7,3,1)",
      "edgeless-12", "CFI(K4)", "CFI(Q3)", "CFI(petersen)"],
 )
-def test_probe_finds_an_automorphism_exactly_when_there_is_one(family):
+def test_scan_finds_an_automorphism_exactly_when_there_is_one(family):
     # the iso corpus, CFI plain and twisted included
     rng = random.Random(family)
     for pair in iso_corpus(family):
