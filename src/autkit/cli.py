@@ -46,9 +46,9 @@ def _emit(g: Graph, fmt: str) -> None:
         sys.stdout.write(to_dot(g))
 
 
-# Graph rows are as wide as their highest neighbour and validation builds a
-# transpose, so memory grows with n^2: K(18, 9) (48,620 vertices) peaks at
-# about 343 MB, and C(19, 9) = 92,378 vertices would need about 1.2 GB.
+# Graph rows are as wide as their highest neighbour, so memory grows with
+# n^2: K(18, 9) (48,620 vertices) peaks at about 195 MB in DOT, and the rows
+# of K(19, 9) (92,378 vertices) alone take about 890 MB.
 _MAX_GEN_VERTICES = 50_000
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .perms import Permutation
@@ -66,35 +66,43 @@ class Graph:
     n: int
     adj: tuple[int, ...]
     labels: Optional[tuple[str, ...]] = None
+    #: each row's set bits in increasing order, kept by the constructor's walk
+    _neighbors: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "adj", tuple(self.adj))
+        adj = tuple(self.adj)
+        object.__setattr__(self, "adj", adj)
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(self.labels))
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
-        if len(self.adj) != self.n:
+        if len(adj) != self.n:
             raise ValueError("adjacency length does not match vertex count")
-        for v, bits in enumerate(self.adj):
+        # one walk over each row's set bits; an asymmetric pair has one bit
+        # set, so it is recorded once, and the least is the first pair in
+        # row-major order.  Rows share one int per vertex past the small-int
+        # cache, so a dense graph's lists cost a pointer per neighbour.
+        vertices = list(range(self.n))
+        rows = []
+        asymmetric = []
+        for u, bits in enumerate(adj):
             if bits >> self.n:
-                raise ValueError(f"adjacency of vertex {v} mentions vertices >= {self.n}")
-            if (bits >> v) & 1:
-                raise ValueError(f"loop at vertex {v}")
-        # the transpose over set bits, O(n + m); on a mismatch the first
-        # asymmetric pair (u, v), u < v, is the lowest set bit v of the first
-        # nonzero XOR row u: a differing bit w < u would make row w differ
-        # first, and bit u cannot differ, since loops are rejected above
-        transpose = [0] * self.n
-        for v, bits in enumerate(self.adj):
-            column = 1 << v
+                raise ValueError(f"adjacency of vertex {u} mentions vertices >= {self.n}")
+            mask = 1 << u
+            if bits & mask:
+                raise ValueError(f"loop at vertex {u}")
+            row = []
             while bits:
                 low = bits & -bits
-                transpose[low.bit_length() - 1] |= column
+                v = vertices[low.bit_length() - 1]
+                row.append(v)
+                if not adj[v] & mask:
+                    asymmetric.append((min(u, v), max(u, v)))
                 bits ^= low
-        if tuple(transpose) != self.adj:
-            u, diff = next((u, r ^ c) for u, (r, c) in enumerate(zip(self.adj, transpose)) if r != c)
-            v = (diff & -diff).bit_length() - 1
-            raise ValueError(f"adjacency not symmetric at ({u}, {v})")
+            rows.append(tuple(row))
+        if asymmetric:
+            raise ValueError("adjacency not symmetric at ({}, {})".format(*min(asymmetric)))
+        object.__setattr__(self, "_neighbors", tuple(rows))
         if self.labels is not None:
             if len(self.labels) != self.n:
                 raise ValueError("label count does not match vertex count")
@@ -120,13 +128,7 @@ class Graph:
         return bool((self.adj[u] >> v) & 1)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        bits = self.adj[v]
-        out = []
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1)
-            bits ^= low
-        return tuple(out)
+        return self._neighbors[v]
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -151,15 +153,14 @@ def is_regular(g: Graph) -> Optional[int]:
     return None
 
 
-def _bfs_distances(g: Graph, start: int, skip_edge: Optional[tuple[int, int]] = None) -> dict[int, int]:
+def _bfs_distances(g: Graph, start: int, avoid: Optional[int] = None) -> dict[int, int]:
+    """Distances from start, never stepping from start to ``avoid``."""
     dist = {start: 0}
     queue = deque([start])
     while queue:
         x = queue.popleft()
         for y in g.neighbors(x):
-            if skip_edge is not None and {x, y} == set(skip_edge):
-                continue
-            if y not in dist:
+            if y not in dist and (x != start or y != avoid):
                 dist[y] = dist[x] + 1
                 queue.append(y)
     return dist
@@ -169,16 +170,12 @@ def girth(g: Graph) -> Optional[int]:
     """Length of a shortest cycle, or None for acyclic graphs.
 
     Exact by construction: the shortest cycle through an edge {u, v} is
-    that edge plus a shortest u-v path avoiding it.
+    that edge plus a shortest u-v path avoiding it.  A search from u can
+    use the edge only as the step from u to v: a step from v into u finds
+    u already visited.
     """
-    best: Optional[int] = None
-    for u, v in g.edges():
-        dist = _bfs_distances(g, u, skip_edge=(u, v))
-        if v in dist:
-            length = dist[v] + 1
-            if best is None or length < best:
-                best = length
-    return best
+    paths = (_bfs_distances(g, u, avoid=v).get(v) for u, v in g.edges())
+    return min((d + 1 for d in paths if d is not None), default=None)
 
 
 def diameter(g: Graph) -> Optional[int]:
@@ -206,14 +203,13 @@ def _relabeled_adj(g: Graph, sigma: Permutation) -> tuple[int, ...]:
     if sigma.degree != g.n:
         raise ValueError(f"degree mismatch: permutation {sigma.degree} vs graph {g.n}")
     images = sigma.images
+    image_bits = [1 << t for t in images]
     adj = [0] * g.n
-    for u, bits in enumerate(g.adj):
+    for t, neighbors in zip(images, g._neighbors):
         row = 0
-        while bits:
-            low = bits & -bits
-            row |= 1 << images[low.bit_length() - 1]
-            bits ^= low
-        adj[images[u]] = row
+        for v in neighbors:
+            row |= image_bits[v]
+        adj[t] = row
     return tuple(adj)
 
 

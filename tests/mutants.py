@@ -35,6 +35,8 @@ SEARCH = "tests/test_search.py::"
 CLI = "tests/test_cli.py::"
 GRAPH6 = "tests/test_graph6.py::"
 GRAPHS = "tests/test_graphs.py::"
+PERMS = "tests/test_perms.py::"
+VERIFY = "tests/test_verify.py::"
 #: hypothesis's report of a failing example imports libcst, which warns on
 #: import with some mypy_extensions versions; as an error, that warning
 #: would end pytest with an internal error (exit 3) instead of a failure
@@ -190,12 +192,35 @@ MUTANTS = (
         "",
         (GRAPH6 + "test_single_edge_is_A_underscore", GRAPH6 + "test_decode_matches_the_bit_at_a_time_decoder"),
     ),
+    # the constructor's one walk over each row's set bits, which checks
+    # symmetry and keeps the neighbour lists, and girth's search over them
     Mutant(
         "graphs.py",
         "symmetry check skipped",
-        "if tuple(transpose) != self.adj:",
+        "if asymmetric:",
         "if False:",
         (GRAPHS + "test_graph_validation_messages", GRAPHS + "test_symmetry_check_matches_pairwise_reference"),
+    ),
+    Mutant(
+        "graphs.py",
+        "mirror test reads the walked bit itself",
+        "if not adj[v] & mask:",
+        "if not adj[u] & low:",
+        (GRAPHS + "test_graph_validation_messages", GRAPHS + "test_symmetry_check_matches_pairwise_reference"),
+    ),
+    Mutant(
+        "graphs.py",
+        "a row's neighbours stored empty",
+        "rows.append(tuple(row))",
+        "rows.append(())",
+        (GRAPHS + "test_neighbors_match_pairwise_reference",),
+    ),
+    Mutant(
+        "graphs.py",
+        "girth's avoided step not avoided",
+        " and (x != start or y != avoid)",
+        "",
+        (GRAPHS + "test_girth_and_diameter_examples", GRAPHS + "test_girth_matches_edge_deletion_reference"),
     ),
     # gen's size check, which must refuse graph6 past 62 vertices before
     # the build, whatever the count
@@ -206,6 +231,29 @@ MUTANTS = (
         '        raise ValueError("graph6 short form supports at most 62 vertices")\n',
         "",
         (CLI + "test_gen_rejects_a_huge_family_without_counting_it_exactly",),
+    ),
+    # closure, the order the verifier and the group oracle rely on
+    Mutant(
+        "perms.py",
+        "closure's layer sort dropped",
+        "        layer.sort(key=lambda p: p.images)\n",
+        "",
+        (PERMS + "test_closure_is_deterministic_bfs_then_lex",),
+    ),
+    # the verifier's exhaustive checks
+    Mutant(
+        "verify.py",
+        "homomorphism failure at a 0-based position",
+        "return False, i * n + j + 1",
+        "return False, i * n + j",
+        (VERIFY + "test_checks_match_reference_true_and_corrupted_actions",),
+    ),
+    Mutant(
+        "verify.py",
+        "kernel compared with a degree-9 identity",
+        "ident10 = tuple(range(10))",
+        "ident10 = tuple(range(9))",
+        (VERIFY + "test_kernel_of_trivial_action_is_everything",),
     ),
 )
 
@@ -219,6 +267,15 @@ SURVIVORS = (
         " adds work: the generator already proves the first graph not"
         " rigid, and a later match ends the scan with the same verdict and"
         " the same first match",
+    ),
+    Survivor(
+        "perms.py",
+        "Schreier generators' checked mark not advanced",
+        "                checked[x] = k + 1\n",
+        "",
+        "a point whose mark stays put has the same Schreier generators"
+        " sifted again at the next pass, which only repeats work: each"
+        " sift of a member ends at the identity",
     ),
 )
 

@@ -1,7 +1,8 @@
 """Reference oracles for ``autkit.graphs``: the pairwise versions of the
-symmetry check and of the subset-graph construction, and the
-bit-at-a-time graph6 decoder, kept independent of the set-bit and
-string-slicing ones so that differential tests can catch a bug in either.
+symmetry check, the neighbour lists and the subset-graph construction,
+girth with each edge deleted in turn, and the bit-at-a-time graph6
+decoder, kept independent of the set-bit and string-slicing ones so that
+differential tests can catch a bug in either.
 
 All visit every pair of vertices, so keep their inputs small."""
 
@@ -22,6 +23,32 @@ def asymmetric_pair(adj: tuple[int, ...]) -> Optional[tuple[int, int]]:
             if ((adj[u] >> v) & 1) != ((adj[v] >> u) & 1):
                 return u, v
     return None
+
+
+def neighbors(adj: tuple[int, ...], v: int) -> tuple[int, ...]:
+    """The vertices whose bit is set in row v, testing every vertex."""
+    return tuple(u for u in range(len(adj)) if (adj[v] >> u) & 1)
+
+
+def girth(g: Graph) -> Optional[int]:
+    """Length of a shortest cycle, or None: for each edge {u, v}, one
+    more than the u-v distance in the graph with that edge deleted."""
+    best = None
+    edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if (g.adj[u] >> v) & 1]
+    for u, v in edges:
+        adj = list(g.adj)
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+        seen = {u}
+        frontier = {u}
+        steps = 0
+        while frontier and v not in seen:
+            frontier = {y for x in frontier for y in range(g.n) if (adj[x] >> y) & 1} - seen
+            seen |= frontier
+            steps += 1
+        if v in seen and (best is None or steps + 1 < best):
+            best = steps + 1
+    return best
 
 
 def subset_graph(n: int, k: int, wanted_intersection: int) -> Graph:

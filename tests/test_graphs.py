@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -40,6 +41,10 @@ def expected_subset_edges(n, k, t):
         for j in range(i + 1, len(verts))
         if len(set(verts[i]) & set(verts[j])) == t
     }
+
+
+def reference_edges(g):
+    return {(u, v) for u in range(g.n) for v in reference_graphs.neighbors(g.adj, u) if u < v}
 
 
 # -------------------------------------------------------------- subsets
@@ -195,6 +200,16 @@ def test_girth_and_diameter_examples():
     assert not is_connected(two_parts)
 
 
+def test_girth_matches_edge_deletion_reference():
+    rng = random.Random(29)
+    girths = set()
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(0, 14), rng.random())
+        girths.add(girth(g))
+        assert girth(g) == reference_graphs.girth(g), g
+    assert {None, 3, 4} <= girths
+
+
 def test_graph_validation():
     with pytest.raises(ValueError):
         Graph(2, (0b10, 0b00))  # asymmetric
@@ -246,6 +261,24 @@ def test_symmetry_check_matches_pairwise_reference():
             assert str(err.value) == "adjacency not symmetric at ({}, {})".format(*pair)
         outcomes.add(pair is None)
     assert outcomes == {True, False}
+
+
+def test_neighbors_match_pairwise_reference():
+    rng = random.Random(31)
+    for n in range(63):
+        for density in (0.0, rng.random(), 1.0):
+            g = random_graph(rng, n, density)
+            expected = [reference_graphs.neighbors(g.adj, v) for v in range(n)]
+            assert [g.neighbors(v) for v in range(n)] == expected
+
+
+def test_stored_neighbors_leave_equality_hash_and_repr_alone():
+    g = Graph(2, (2, 1))
+    assert repr(g) == "Graph(n=2, adj=(2, 1), labels=None)"
+    assert hash(g) == hash((2, (2, 1), None))
+    assert [f.name for f in dataclasses.fields(Graph) if f.compare] == ["n", "adj", "labels"]
+    assert g == Graph(2, [2, 1])
+    assert g != Graph(2, (2, 1), ("a", "b"))
 
 
 def test_subset_graphs_match_pairwise_reference():
@@ -318,8 +351,8 @@ def test_is_automorphism_equivalent_to_adjacency_equality():
 
 
 def test_relabeling_matches_edge_set_oracle():
-    # the oracle reads only g.edges(), never the bitset rows that
-    # permute_graph and is_automorphism relabel
+    # the oracle reads each graph's edges off the pairwise reference, never
+    # the neighbour lists that permute_graph and is_automorphism relabel
     rng = random.Random(14)
     automorphisms = 0
     for case in range(300):
@@ -330,10 +363,10 @@ def test_relabeling_matches_edge_set_oracle():
         images = list(range(n))
         rng.shuffle(images)
         sigma = Permutation(images)
-        edges = set(g.edges())
+        edges = reference_edges(g)
         moved = {(min(sigma(u), sigma(v)), max(sigma(u), sigma(v))) for u, v in edges}
         h = permute_graph(g, sigma)
-        assert set(h.edges()) == moved
+        assert reference_edges(h) == moved
         if g.labels is not None:
             assert all(h.labels[sigma(v)] == g.labels[v] for v in range(n))
         assert is_automorphism(g, sigma) == (moved == edges)

@@ -480,6 +480,11 @@ def test_closure_is_deterministic_bfs_then_lex():
     assert [p.images for p in elements] == [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
     again = closure([P.from_cycles(3, [[1, 2, 3]])], 10)
     assert elements == again
+    # with two generators the products come out as (1 2 3), (1 2) at word
+    # length 1 and as (1 3 2), (2 3), (1 3) at length 2; each layer is
+    # listed by its sorted images
+    elements = closure([P.from_cycles(3, [[1, 2, 3]]), P.from_cycles(3, [[1, 2]])], 10)
+    assert [p.images for p in elements] == [(0, 1, 2), (1, 0, 2), (1, 2, 0), (0, 2, 1), (2, 0, 1), (2, 1, 0)]
 
 
 def test_closure_cap_exceeded():
