@@ -15,6 +15,7 @@ from typing import Optional
 
 from .graphs import (
     Graph,
+    _dot_lines,
     graph6_decode,
     graph6_encode,
     johnson_general,
@@ -43,7 +44,9 @@ def _emit(g: Graph, fmt: str) -> None:
     if fmt == "graph6":
         print(graph6_encode(g))
     else:
-        sys.stdout.write(to_dot(g))
+        # line by line: the whole text of a large graph would take several
+        # times the memory of the graph itself
+        sys.stdout.writelines(_dot_lines(g))
 
 
 # Graph rows are as wide as their highest neighbour, so memory grows with

@@ -7,7 +7,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .perms import Permutation
 
@@ -360,10 +360,10 @@ def _fmt_coord(x: float) -> str:
     return f"{round(x, 4) + 0.0:.4f}"
 
 
-def to_dot(g: Graph, layout: Optional[Mapping[int, tuple[float, float]]] = None) -> str:
-    """Render as undirected DOT; positions are pinned via ``pos="x,y!"``
-    when a layout is given."""
-    lines = ["graph {"]
+def _dot_lines(g: Graph, layout: Optional[Mapping[int, tuple[float, float]]] = None) -> Iterator[str]:
+    """The lines of ``to_dot``'s text, each with its newline, made one at a
+    time, so that a large graph can be written without its whole text."""
+    yield "graph {\n"
     for v in range(g.n):
         attrs = []
         if g.labels is not None:
@@ -373,10 +373,18 @@ def to_dot(g: Graph, layout: Optional[Mapping[int, tuple[float, float]]] = None)
             x, y = layout[v]
             attrs.append(f'pos="{_fmt_coord(x)},{_fmt_coord(y)}!"')
         if attrs:
-            lines.append(f"  {v} [{', '.join(attrs)}];")
+            yield f"  {v} [{', '.join(attrs)}];\n"
         else:
-            lines.append(f"  {v};")
-    for u, v in g.edges():
-        lines.append(f"  {u} -- {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            yield f"  {v};\n"
+    # the order of g.edges(), without its list
+    for u in range(g.n):
+        for v in g.neighbors(u):
+            if u < v:
+                yield f"  {u} -- {v};\n"
+    yield "}\n"
+
+
+def to_dot(g: Graph, layout: Optional[Mapping[int, tuple[float, float]]] = None) -> str:
+    """Render as undirected DOT; positions are pinned via ``pos="x,y!"``
+    when a layout is given."""
+    return "".join(_dot_lines(g, layout))

@@ -373,26 +373,29 @@ def closure(generators: Iterable[Permutation], cap: int) -> list[Permutation]:
     within a layer.  Raises :class:`CapacityError` if the group has more
     than ``cap`` elements.  It is the brute-force oracle the BSGS engine
     is tested against, so it deliberately stays naive; ``verify_petersen``
-    also uses it to enumerate S5 and the image of phi.
+    also uses it to enumerate S5 and the image of phi.  The search runs on
+    image tuples, w * g being ``g``'s images read at ``w``'s, and wraps
+    each element in a ``Permutation`` only on return.
     """
     gens, n = _validated(generators)
     if cap < 1:
         raise ValueError("cap must be positive")
-    ident = Permutation.identity(n)
+    images = [g.images for g in gens]
+    ident = tuple(range(n))
     seen = {ident}
     elements = [ident]
     frontier = [ident]
     while frontier:
-        layer: list[Permutation] = []
+        layer: list[tuple[int, ...]] = []
         for w in frontier:
-            for g in gens:
-                h = w * g
+            for b in images:
+                h = tuple(map(b.__getitem__, w))
                 if h not in seen:
                     seen.add(h)
                     layer.append(h)
                     if len(seen) > cap:
                         raise CapacityError(f"group exceeds cap of {cap} elements")
-        layer.sort(key=lambda p: p.images)
+        layer.sort()
         elements.extend(layer)
         frontier = layer
-    return elements
+    return list(map(_trusted, elements))

@@ -82,42 +82,90 @@ def _phi_in_aut(graph: Graph, images: list[Permutation]) -> bool:
     return all(img.degree == graph.n and is_automorphism(graph, img) for img in images)
 
 
+def _cayley_columns(g_bytes: list[bytes]) -> list[bytes]:
+    """The right-multiplication columns of a group given as byte strings:
+    ``columns[j][k]`` is the index of ``g_k * g_j``, g_i being the
+    permutation with the images ``g_bytes[i]``.
+
+    Only the columns of a generating set are composed and looked up, the
+    set picked greedily: each new generator is the first element whose
+    column is not known yet.  Every other column is a known one read
+    through a generator's column, as g * (x * s) == (g * x) * s: with y
+    the index of g_x * g_s, ``columns[y][k]`` is
+    ``columns[s][columns[x][k]]``, one ``bytes.translate``.  The group
+    must be whole, so that every product is one of its elements, and
+    have at most 256 elements, so that an index fits in a byte.  S5 in
+    ``closure`` order takes two columns of lookups.
+    """
+    n = len(g_bytes)
+    index = {g: k for k, g in enumerate(g_bytes)}
+    # b"" marks a column not known yet; the identity's reads k at k
+    columns = [b""] * n
+    columns[index[_IDENTITY_TABLE[:len(g_bytes[0])]]] = bytes(range(n))
+    generators = []
+    for new in range(n):
+        if columns[new]:
+            continue
+        table = g_bytes[new] + _IDENTITY_TABLE[len(g_bytes[new]):]
+        columns[new] = column = bytes([index[g.translate(table)] for g in g_bytes])
+        generators.append((column, column + _IDENTITY_TABLE[n:]))
+        known = [x for x in range(n) if columns[x]]
+        for x in known:
+            for s, s_table in generators:
+                y = s[x]
+                if not columns[y]:
+                    columns[y] = columns[x].translate(s_table)
+                    known.append(y)
+    return columns
+
+
 def _homomorphism_pairs(elements: list[Permutation], images: list[Permutation]) -> tuple[bool, int]:
     """Check phi(g * h) == phi(g) * phi(h) over every ordered pair of
     ``elements``, where ``images[i]`` is phi(elements[i]).
 
     Pairs run with g in the outer loop and h in the inner one, both in
-    the order of ``elements``.  The scan stops at the first failing pair
-    and returns ``(False, k)``, k being that pair's 1-based position in
-    this order; otherwise it returns ``(True, len(elements) ** 2)``.  A
-    pair whose two images differ in degree fails.  ``elements`` is a
-    whole group, so every product is one of them.
+    the order of ``elements``.  The result is ``(False, k)`` for the
+    first failing pair in this order, k being its 1-based position, and
+    otherwise ``(True, len(elements) ** 2)``.  A pair whose two images
+    differ in degree fails.  ``elements`` is a whole group, so every
+    product is one of them, and the group's Cayley columns
+    (``_cayley_columns``) give the index of each g * h.
 
     Permutations are compared as byte strings, and p * q is
     ``p.translate(table of q)``, so a degree past ``BYTE_POINTS`` raises
-    ``CapacityError`` before any pair is compared.
+    ``CapacityError`` before any pair is compared.  When every image has
+    one degree, the pairs with h = elements[j] are checked together:
+    the images phi(g * h) joined in the order of g, against the joined
+    images phi(g) read through phi(h)'s table.
     """
     degree = max(p.degree for p in (*elements, *images))
     if degree > BYTE_POINTS:
         raise CapacityError(
             f"byte-table composition has a {BYTE_POINTS}-point limit; got a permutation of degree {degree}"
         )
-    g_bytes = [bytes(g.images) for g in elements]
+    columns = _cayley_columns([bytes(g.images) for g in elements])
     phi_bytes = [bytes(img.images) for img in images]
-    phi = dict(zip(g_bytes, phi_bytes))
-    n = len(elements)
-    # closure lists the identity first, so row 0 compares each phi(h) with
-    # phi(identity) * phi(h), which has phi(identity)'s degree: the scan
-    # stops in row 0 at the first image of another degree, if not before.
-    g_tables = [g + _IDENTITY_TABLE[len(g):] for g in g_bytes]
     phi_tables = [img + _IDENTITY_TABLE[len(img):] for img in phi_bytes]
-    for i in range(n):
-        lhs = list(map(phi.__getitem__, map(g_bytes[i].translate, g_tables)))
-        rhs = list(map(phi_bytes[i].translate, phi_tables))
+    n = len(elements)
+    d = len(phi_bytes[0])
+    if any(len(img) != d for img in phi_bytes):
+        # phi(elements[0]) * phi(h) has phi(elements[0])'s degree, while
+        # phi(elements[0] * h) runs over every image as h does: row 0
+        # fails at an image of another degree, if not before
+        first = phi_bytes[0]
+        j = next(j for j, column in enumerate(columns) if phi_bytes[column[0]] != first.translate(phi_tables[j]))
+        return False, j + 1
+    all_phi = b"".join(phi_bytes)
+    failures = []
+    for j, column in enumerate(columns):
+        lhs = b"".join(map(phi_bytes.__getitem__, column))
+        rhs = all_phi.translate(phi_tables[j])
         if lhs != rhs:
-            j = next(j for j, (left, right) in enumerate(zip(lhs, rhs)) if left != right)
-            return False, i * n + j + 1
-    return True, n * n
+            # the first failing g of this column; the first failing pair
+            # overall is the least position over the columns
+            i = next(i for i in range(0, n * d, d) if lhs[i:i + d] != rhs[i:i + d]) // d
+            failures.append(i * n + j + 1)
+    return (False, min(failures)) if failures else (True, n * n)
 
 
 def _kernel_trivial(elements: list[Permutation], images: list[Permutation]) -> bool:
@@ -137,6 +185,11 @@ def check_homomorphism(
     Pairs run with g outer and h inner, in ``closure`` order; the result
     is ``(True, pairs checked)``, or ``(False, position of the first
     failing pair)``.  A pair whose images differ in degree fails.
+
+    Every pair is checked, none inferred: the index of each g * h is read
+    off the group's Cayley columns, and only the columns of a few
+    generators are composed, the rest being known columns read through a
+    generator's, which holds since g * (x * s) == (g * x) * s.
 
     Products are composed on byte strings with ``bytes.translate``, which
     holds points 0..255: an element or image of degree past 256 raises

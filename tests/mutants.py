@@ -236,17 +236,37 @@ MUTANTS = (
     Mutant(
         "perms.py",
         "closure's layer sort dropped",
-        "        layer.sort(key=lambda p: p.images)\n",
+        "        layer.sort()\n",
         "",
-        (PERMS + "test_closure_is_deterministic_bfs_then_lex",),
+        (
+            PERMS + "test_closure_is_deterministic_bfs_then_lex",
+            PERMS + "test_closure_matches_permutation_product_reference",
+        ),
     ),
-    # the verifier's exhaustive checks
+    # the verifier's exhaustive checks, on the Cayley columns of S5
+    Mutant(
+        "verify.py",
+        "Cayley column composed in the wrong order",
+        "columns[y] = columns[x].translate(s_table)",
+        "columns[y] = s.translate(columns[x] + _IDENTITY_TABLE[n:])",
+        (VERIFY + "test_cayley_columns_match_direct_products", VERIFY + "test_homomorphism_all_pairs"),
+    ),
     Mutant(
         "verify.py",
         "homomorphism failure at a 0-based position",
-        "return False, i * n + j + 1",
-        "return False, i * n + j",
+        "failures.append(i * n + j + 1)",
+        "failures.append(i * n + j)",
         (VERIFY + "test_checks_match_reference_true_and_corrupted_actions",),
+    ),
+    Mutant(
+        "verify.py",
+        "failing position of the first failing column",
+        "(False, min(failures))",
+        "(False, failures[0])",
+        (
+            VERIFY + "test_failing_position_is_the_least_over_columns",
+            VERIFY + "test_checks_match_reference_true_and_corrupted_actions",
+        ),
     ),
     Mutant(
         "verify.py",

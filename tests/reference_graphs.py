@@ -1,15 +1,16 @@
 """Reference oracles for ``autkit.graphs``: the pairwise versions of the
 symmetry check, the neighbour lists and the subset-graph construction,
-girth with each edge deleted in turn, and the bit-at-a-time graph6
-decoder, kept independent of the set-bit and string-slicing ones so that
-differential tests can catch a bug in either.
+girth with each edge deleted in turn, the bit-at-a-time graph6 decoder,
+and DOT text built whole from a list of every pair's edge, kept
+independent of the set-bit, string-slicing and line-at-a-time ones so
+that differential tests can catch a bug in either.
 
 All visit every pair of vertices, so keep their inputs small."""
 
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Mapping, Optional
 
 from autkit import Graph, Graph6Error, subsets
 
@@ -102,3 +103,23 @@ def graph6_decode(text: str) -> Graph:
                 adj[j] |= 1 << i
             pos += 1
     return Graph(n, tuple(adj))
+
+
+def to_dot(g: Graph, layout: Optional[Mapping[int, tuple[float, float]]] = None) -> str:
+    """Undirected DOT: a line per vertex with its escaped label and its
+    position to four decimals, then a line per edge in row-major order,
+    found by testing every pair."""
+    lines = ["graph {"]
+    for v in range(g.n):
+        attrs = []
+        if g.labels is not None:
+            escaped = "".join("\\" + c if c in '"\\' else c for c in g.labels[v])
+            attrs.append(f'label="{escaped}"')
+        if layout is not None:
+            # rounded first, and with 0.0 added, so that -0.0 prints as 0
+            x, y = (f"{round(c, 4) + 0.0:.4f}" for c in layout[v])
+            attrs.append(f'pos="{x},{y}!"')
+        lines.append(f"  {v} [{', '.join(attrs)}];" if attrs else f"  {v};")
+    lines += [f"  {u} -- {v};" for u in range(g.n) for v in range(u + 1, g.n) if (g.adj[u] >> v) & 1]
+    lines.append("}")
+    return "\n".join(lines) + "\n"

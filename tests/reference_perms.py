@@ -1,10 +1,12 @@
-"""Reference oracle for ``schreier_sims`` and ``orbit`` in ``autkit.perms``:
-a from-scratch Schreier-Sims that multiplies validated ``Permutation``
-objects, re-filters the strong generators of every level on every pass and
-inverts a transversal element once per Schreier generator and per sift
-step.  It shares no code with the incremental image-tuple implementation,
-so differential tests of the group it builds (order and membership, not
-base or transversals) can catch a bug in either."""
+"""Reference oracles for ``schreier_sims``, ``orbit`` and ``closure`` in
+``autkit.perms``: a from-scratch Schreier-Sims that multiplies validated
+``Permutation`` objects, re-filters the strong generators of every level
+on every pass and inverts a transversal element once per Schreier
+generator and per sift step, and a breadth-first closure that multiplies
+and hashes ``Permutation`` objects.  They share no code with the
+image-tuple implementations, so differential tests of the groups they
+build (order and membership, not base or transversals, and for closure
+the elements in order) can catch a bug in either."""
 
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from autkit import Permutation
+from autkit import CapacityError, Permutation
 
 
 @dataclass(frozen=True)
@@ -144,3 +146,31 @@ def schreier_sims(generators: Iterable[Permutation]) -> BSGS:
             i -= 1
 
     return BSGS(n, base, strong, transversals)
+
+
+def closure(generators: Iterable[Permutation], cap: int) -> list[Permutation]:
+    """Every element of the generated group, by breadth-first products of
+    ``Permutation`` objects: word length first, then lexicographic images
+    within a layer.  Raises ``CapacityError`` once more than ``cap``
+    elements are found."""
+    gens, n = _validated(generators)
+    if cap < 1:
+        raise ValueError("cap must be positive")
+    ident = Permutation.identity(n)
+    seen = {ident}
+    elements = [ident]
+    frontier = [ident]
+    while frontier:
+        layer: list[Permutation] = []
+        for w in frontier:
+            for g in gens:
+                h = w * g
+                if h not in seen:
+                    seen.add(h)
+                    layer.append(h)
+                    if len(seen) > cap:
+                        raise CapacityError(f"group exceeds cap of {cap} elements")
+        layer.sort(key=lambda p: p.images)
+        elements.extend(layer)
+        frontier = layer
+    return elements

@@ -18,6 +18,7 @@ from autkit import (
     petersen_subsets,
 )
 
+import reference_graphs
 from autkit.cli import build_parser, main
 from conftest import run_cli
 from test_search import CUBIC_36, hoffman_singleton
@@ -53,6 +54,41 @@ def test_gen_kneser_dot():
     lines = proc.stdout.splitlines()
     assert len([ln for ln in lines if "label=" in ln]) == 2
     assert len([ln for ln in lines if "--" in ln]) == 1
+
+
+#: ``gen johnson -n 4 -k 2 -t 0 --format dot``: a perfect matching on the
+#: 2-subsets of {1..4}, each joined to its complement
+JOHNSON_4_2_0_DOT = """\
+graph {
+  0 [label="{1,2}"];
+  1 [label="{1,3}"];
+  2 [label="{1,4}"];
+  3 [label="{2,3}"];
+  4 [label="{2,4}"];
+  5 [label="{3,4}"];
+  0 -- 5;
+  1 -- 4;
+  2 -- 3;
+}
+"""
+
+
+def test_gen_johnson_dot_golden():
+    proc = run_cli(["gen", "johnson", "-n", "4", "-k", "2", "-t", "0", "--format", "dot"])
+    assert proc.returncode == 0
+    assert proc.stdout == JOHNSON_4_2_0_DOT
+
+
+def test_gen_dot_matches_reference():
+    # gen writes the DOT lines as they are made; the text is the one the
+    # pairwise reference builds whole, for every family up to n = 7
+    for n in range(1, 8):
+        for k in range(1, n + 1):
+            cases = [(["kneser", "-n", str(n), "-k", str(k)], 0)]
+            cases += [(["johnson", "-n", str(n), "-k", str(k), "-t", str(t)], t) for t in range(k)]
+            for args, t in cases:
+                expected = reference_graphs.to_dot(reference_graphs.subset_graph(n, k, t))
+                assert run_in_process(["gen", *args, "--format", "dot"]) == (0, expected, "")
 
 
 def test_gen_rejects_bad_parameters():

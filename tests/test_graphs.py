@@ -411,6 +411,20 @@ def test_to_dot_single_vertex():
     assert dot == "graph {\n  0;\n}\n"
 
 
+def test_to_dot_matches_reference(petersen):
+    # the text joined from the lines made one at a time, against DOT built
+    # whole from every pair: labels, the Petersen layout and random graphs
+    rng = random.Random("dot")
+    graphs = [petersen, petersen_classic(), Graph(0, ()), Graph(1, (0,))]
+    graphs += [random_graph(rng, rng.randint(2, 30), rng.random()) for _ in range(20)]
+    for g in graphs:
+        assert to_dot(g) == reference_graphs.to_dot(g)
+    assert to_dot(petersen, petersen_layout()) == reference_graphs.to_dot(petersen, petersen_layout())
+    labels = ['a"b', "c\\", 'd\\"e', "{1,2}"]
+    g = Graph.from_edges(4, [(0, 1), (2, 3)], labels=labels)
+    assert to_dot(g) == reference_graphs.to_dot(g)
+
+
 def test_to_dot_escapes_labels():
     labels = ['a"b', "c\\", 'd\\"e', "{1,2}"]
     dot = to_dot(Graph.from_edges(4, [(0, 1), (2, 3)], labels=labels))

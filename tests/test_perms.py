@@ -506,3 +506,42 @@ def test_closure_empty_generators_rejected():
 def test_closure_of_induced_action_generators():
     gens = [induced_action(g) for g in s5_generators()]
     assert len(closure(gens, 1000)) == 120
+
+
+def closure_cases():
+    """The S5 generators, their induced-action images, and 20 seeded
+    generator sets in S6 and S7, each generator moving a random subset of
+    the points, so that the groups range from small to the whole of S7."""
+    rng = random.Random("closure cases")
+    cases = [list(s5_generators()), [induced_action(g) for g in s5_generators()]]
+    for case in range(20):
+        n = 6 + case % 2
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            moved = rng.sample(range(n), rng.randint(2, n))
+            images = list(range(n))
+            for x, y in zip(moved, rng.sample(moved, len(moved))):
+                images[x] = y
+            gens.append(P(images))
+        cases.append(gens)
+    return cases
+
+
+def test_closure_matches_permutation_product_reference():
+    # the image-tuple search against the Permutation-product one, element
+    # by element and in order, and the same CapacityError one element short
+    orders = set()
+    for gens in closure_cases():
+        expected = reference_perms.closure(gens, 5040)
+        elements = closure(gens, 5040)
+        assert all(type(p) is P for p in elements)
+        assert [p.images for p in elements] == [p.images for p in expected]
+        order = len(expected)
+        assert [p.images for p in closure(gens, order)] == [p.images for p in expected]
+        for enumerate_group in (closure, reference_perms.closure):
+            with pytest.raises(CapacityError, match=f"^group exceeds cap of {order - 1} elements$"):
+                enumerate_group(gens, order - 1)
+        orders.add(order)
+    # small groups, S7 and sizes between, so the order is pinned at several
+    # layer widths
+    assert len(orders) > 6 and max(orders) == 5040

@@ -16,6 +16,7 @@ from autkit import (
     petersen_subsets,
 )
 from autkit.verify import (
+    _cayley_columns,
     _homomorphism_pairs,
     _phi_table,
     check_homomorphism,
@@ -312,6 +313,85 @@ def test_homomorphism_pairs_match_tuple_reference_seeded_corruptions():
     assert len(failures) > 40
     assert any(k > 120 and k % 120 not in (0, 1) for k in failures)
     assert any(ok for ok, _ in positions)
+
+
+def greedy_picks(group):
+    """The indices whose columns ``_cayley_columns`` composes: each is the
+    first element outside the subgroup the earlier picks generate."""
+    picks = []
+    reached = {group[0]}
+    while len(reached) < len(group):
+        picks.append(next(k for k, g in enumerate(group) if g not in reached))
+        reached = set(closure([group[k] for k in picks], cap=len(group)))
+    return picks
+
+
+def cayley_cases():
+    """S5, its induced-action image, and seeded subgroups in closure order:
+    the trivial group, cyclic groups, the Klein four-group, a group of
+    three commuting transpositions, and groups from random elements of S5."""
+    rng = random.Random("cayley columns")
+    s5 = s5_elements()
+    generator_sets = [
+        list(s5_generators()),
+        [induced_action(g) for g in s5_generators()],
+        [Permutation.identity(5)],
+        [Permutation.identity(1)],
+        [Permutation.from_cycles(5, [[1, 2, 3, 4, 5]])],
+        [Permutation.from_cycles(5, [[1, 2, 3], [4, 5]])],
+        [Permutation.from_cycles(5, [[1, 2]]), Permutation.from_cycles(5, [[3, 4]])],
+        [Permutation.from_cycles(6, [[a, a + 1]]) for a in (1, 3, 5)],
+    ]
+    generator_sets += [rng.sample(s5, rng.randint(1, 3)) for _ in range(20)]
+    return [closure(gens, cap=120) for gens in generator_sets]
+
+
+def test_cayley_columns_match_direct_products():
+    # every column against the products it stands for, index[g_k * g_j]
+    picks = []
+    for group in cayley_cases():
+        index = {g: k for k, g in enumerate(group)}
+        columns = _cayley_columns([bytes(g.images) for g in group])
+        assert all(type(column) is bytes for column in columns)
+        assert [list(column) for column in columns] == [[index[g * h] for g in group] for h in group]
+        picks.append(greedy_picks(group))
+    # S5 in closure order is generated by (1 2) and (1 2 3 4 5), its first
+    # two elements past the identity: two columns of lookups
+    assert picks[0] == picks[1] == [1, 2]
+    # the trivial group needs no column, a cyclic one a single column, and
+    # the greedy pick needs two or three columns for some of the others
+    assert {len(p) for p in picks} == {0, 1, 2, 3}
+
+
+def pairs_failing(elements, images):
+    """Every failing pair (row k, column j) of a table whose images have one
+    degree, by Permutation products."""
+    index = {g: k for k, g in enumerate(elements)}
+    return [
+        (k, j)
+        for k, g in enumerate(elements)
+        for j, h in enumerate(elements)
+        if images[index[g * h]] != images[k] * images[j]
+    ]
+
+
+@pytest.mark.parametrize("corrupted", [103, 119])
+def test_failing_position_is_the_least_over_columns(corrupted):
+    # one corrupted image phi(x) fails the pair (g, h) with g * h = x in
+    # every column h but the identity's, so the column of (1 2) fails
+    # first in a late row while row 1 fails first in a late column: the
+    # position reported is the least over all columns, not the first
+    # failing column's
+    elements, images = _phi_table(list(s5_generators()), induced_action)
+    images[corrupted] = images[corrupted] * Permutation.from_cycles(10, [[1, 2]])
+    n = len(elements)
+    failing = pairs_failing(elements, images)
+    row, column = min(failing)
+    first_column, first_column_row = min((j, k) for k, j in failing)
+    assert row == 1 and column > n // 2
+    assert first_column == 1 and first_column_row > n // 2
+    assert _homomorphism_pairs(elements, images) == (False, row * n + column + 1)
+    assert reference_verify._homomorphism_pairs(elements, images) == (False, row * n + column + 1)
 
 
 def mutated_image(rng, kind, img):
