@@ -323,9 +323,9 @@ class _IRSearch:
     graph, the search looks only for leaves with that certificate.  A
     child is dropped at the first split of its refinement that the trace
     of its depth lacks, and is not marked searched.  The first leaf with
-    the target certificate becomes ``best``; it ends the search unless
-    ``stop_after`` asks for more such leaves (see the scan below).  When
-    the graphs are isomorphic and the target is the other graph's
+    the target certificate becomes ``best``.  The search ends at its
+    second such leaf, or as soon as it holds both one and a generator.
+    When the graphs are isomorphic and the target is the other graph's
     canonical leaf, ``best`` is this graph's canonical leaf:
 
     - ``_refine`` is label-equivariant.  A leaf with the target
@@ -349,9 +349,7 @@ class _IRSearch:
     vertex order, certificate and traces: a true result ends the search
     there, and after a false one the search goes on as if it had not been
     called.  ``are_isomorphic`` pauses g1's search this way at its first
-    leaf F, takes F as target and scans g2 with ``stop_after=2``: the
-    scan goes on after its first match and ends at the second, or at g2's
-    first generator once a match has been met.  When g1 and g2 are
+    leaf F and takes F as target for a scan of g2.  When g1 and g2 are
     isomorphic, the scan meets a second match or a generator exactly when
     g1 is not rigid:
 
@@ -368,13 +366,9 @@ class _IRSearch:
     3. A generator of g2 proves that Aut(g2), which is isomorphic to
        Aut(g1), is not trivial.
 
-    Up to its first match the scan walks as a search with ``stop_after=1``
-    does, so that match is the leaf such a search returns.  After it the
-    scan prunes nothing: it ends at the match if it holds a generator,
-    and otherwise at its first generator.  A rigid graph has exactly one
-    isomorphism onto an isomorphic graph, so when g1 is rigid the mapping
-    from F onto the first match is the mapping from canonical leaf to
-    canonical leaf.
+    A rigid graph has exactly one isomorphism onto an isomorphic graph,
+    so when g1 is rigid the mapping from F onto the scan's match is the
+    mapping from canonical leaf to canonical leaf.
 
     ``run()`` returns the search, whose attributes are its record:
     ``gens``, for ``automorphisms`` and the scan's verdict; the first
@@ -390,14 +384,12 @@ class _IRSearch:
         self,
         g: Graph,
         target: Optional[tuple[Sequence[_Trace], bytes]] = None,
-        stop_after: int = 1,
         on_first: Optional[Callable[[list[int], bytes, tuple[_Trace, ...]], bool]] = None,
     ) -> None:
         if g.n < 1:
             raise ValueError("graph must have at least one vertex")
         self.nbrs = [g.neighbors(v) for v in range(g.n)]
         self.target_trace, self.target_cert = target if target is not None else (None, None)
-        self.stop_after = stop_after
         self.on_first = on_first
         self.matches = self.leaves = 0
         self.gens: list[Permutation] = []
@@ -502,21 +494,20 @@ class _IRSearch:
             self.matches += 1
             if self.best is None:
                 self.best = (order, cert, traces)
-            return -1 if self.matches == self.stop_after or self.gens else jump
-        if self.first is None:
+        elif self.first is None:
             self.first = (order, cert)
             self.first_prefix = prefix
             if self.on_first is not None and self.on_first(order, cert, traces):
                 return -1
         elif cert == self.first[1]:
             self.gens.append(_mapping(order, self.first[0]))
-            if self.matches:
-                return -1
             # the new generator maps the first path onto this leaf's path:
             # resume at the node where the two paths part
             jump = 0
             while prefix[jump] == self.first_prefix[jump]:
                 jump += 1
+        if self.matches and (self.matches == 2 or self.gens):
+            return -1
         if self.target_cert is None and (self.best is None or cert < self.best[1]):
             self.best = (order, cert, traces)
         return jump
@@ -574,7 +565,7 @@ def are_isomorphic(g1: Graph, g2: Graph) -> Optional[Permutation]:
 
     def scan(order: list[int], cert: bytes, traces: tuple[_Trace, ...]) -> bool:
         nonlocal scanned
-        scanned = _IRSearch(g2, (traces, cert), stop_after=2).run()
+        scanned = _IRSearch(g2, (traces, cert)).run()
         return scanned.best is None or scanned.matches == 1 and not scanned.gens
 
     search = _IRSearch(g1, on_first=scan).run()

@@ -72,8 +72,10 @@ def induced_action(g: Permutation) -> Permutation:
 
 def _phi_table(gens: list[Permutation], action: Action) -> tuple[list[Permutation], list[Permutation]]:
     """Every element of the group ``gens`` generate, in ``closure`` order,
-    and its image under ``action``."""
-    elements = closure(gens, cap=S5_ORDER)
+    and its image under ``action``.  A group past ``BYTE_POINTS``
+    elements raises ``CapacityError``: ``_cayley_columns`` holds an
+    element's index in a byte."""
+    elements = closure(gens, cap=BYTE_POINTS)
     return elements, [action(g) for g in elements]
 
 
@@ -192,8 +194,10 @@ def check_homomorphism(
     generator's, which holds since g * (x * s) == (g * x) * s.
 
     Products are composed on byte strings with ``bytes.translate``, which
-    holds points 0..255: an element or image of degree past 256 raises
-    ``CapacityError`` before any pair is compared.
+    holds points 0..255, and the Cayley columns hold an element's index
+    in a byte: a group of more than 256 elements, or an element or image
+    of degree past 256, raises ``CapacityError`` before any pair is
+    compared.
     """
     gens = list(generators) if generators is not None else list(s5_generators())
     return _homomorphism_pairs(*_phi_table(gens, action))

@@ -80,9 +80,9 @@ def check_homomorphism(
     action: Action = induced_action,
 ) -> tuple[bool, int]:
     """Check action(g * h) == action(g) * action(h) for every pair of the
-    full generated group (14,400 pairs for S5)."""
+    full generated group (14,400 pairs for S5), of at most 256 elements."""
     gens = list(generators) if generators is not None else list(s5_generators())
-    elements = closure(gens, cap=S5_ORDER)
+    elements = closure(gens, cap=256)
     acted = {g: action(g) for g in elements}
     pairs = 0
     for g in elements:

@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,9 @@ from test_cfi import BASES as CFI_BASES, cfi, expected_order as expected_cfi_ord
 from unpruned_search import unpruned_search
 
 PETERSEN_CERT = "n=10:e0180c0d4a60"
+
+#: the exact leaf counts of named searches, kept next to the benchmark's medians
+COUNTS = json.loads(Path(__file__).resolve().parent.parent.joinpath("BENCH_counts.json").read_text("utf-8"))
 
 
 def shuffled(g, rng):
@@ -426,28 +431,40 @@ def recorded_searches(monkeypatch):
     return records
 
 
-def leaves_per_kind(records):
-    """The leaves the recorded searches visited, summed per kind of search."""
-    visited = {"scan": 0, "target": 0, "canonical": 0}
-    for s in records:
-        visited["canonical" if s.target_cert is None else "scan" if s.stop_after == 2 else "target"] += s.leaves
-    return visited
+#: the pairs of the counts file's iso_leaves, built on demand
+COUNTED_PAIRS = {
+    "petersen subsets vs classic": lambda: (petersen_subsets(), petersen_classic()),
+    # a cubic graph with automorphisms and a relabelled copy, as in CI
+    "small-cubic": lambda: (graph6_decode("IWSA_yEh?"), graph6_decode("IJgSGHH_o")),
+    "CFI(petersen) plain vs twisted": lambda: (
+        cfi(CFI_BASES["petersen"][0]), cfi(CFI_BASES["petersen"][0], twisted=True)
+    ),
+    "cubic-36 golden": lambda: tuple(map(graph6_decode, ISO_GOLDEN_CUBIC)),
+    # rigid, not isomorphic, with equal n and m
+    "cubic-36 vs cubic-36-b": lambda: (CUBIC_36, GOLDEN_CANON["cubic-36-b"][0]),
+}
+
+
+def iso_leaves(records, name):
+    """``are_isomorphic``'s result on the counts file's pair ``name``, and
+    the leaves visited by each search it ran, in the order they ran."""
+    records.clear()
+    result = are_isomorphic(*COUNTED_PAIRS[name]())
+    return result, [s.leaves for s in records]
 
 
 def test_target_search_leaf_counts(monkeypatch):
-    # the searches of the second graph reach only the leaf they return,
-    # and no leaf at all on a non-isomorphic rigid pair with equal n and m
+    # the first graph has automorphisms: each search of the second graph
+    # ends at its second match, or at a match and a generator (small-cubic's
+    # scan); the scan of the twisted CFI graph meets no match
     records = recorded_searches(monkeypatch)
-    a = graph6_decode(ISO_GOLDEN_CUBIC[0])
-    b = graph6_decode(ISO_GOLDEN_CUBIC[1])
-    assert are_isomorphic(a, b) is not None
-    visited = leaves_per_kind(records)
-    assert visited["scan"] + visited["target"] == 1
-    other = GOLDEN_CANON["cubic-36-b"][0]
-    assert (other.n, edge_count(other)) == (CUBIC_36.n, edge_count(CUBIC_36))
-    assert are_isomorphic(CUBIC_36, other) is None
-    visited = leaves_per_kind(records)
-    assert visited["scan"] + visited["target"] == 1
+    for name, isomorphic in (
+        ("petersen subsets vs classic", True),
+        ("small-cubic", True),
+        ("CFI(petersen) plain vs twisted", False),
+    ):
+        result, leaves = iso_leaves(records, name)
+        assert (result is not None, leaves) == (isomorphic, COUNTS["iso_leaves"][name]), name
 
 
 def scan(g, h):
@@ -457,7 +474,7 @@ def scan(g, h):
     scans = []
 
     def hook(order, cert, traces):
-        s = search._IRSearch(h, (traces, cert), stop_after=2).run()
+        s = search._IRSearch(h, (traces, cert)).run()
         scans.append(((order, cert, traces), s))
         return False
 
@@ -517,21 +534,12 @@ def test_small_cubic_scans_end_at_a_generator():
 
 def test_iso_leaf_counts_on_rigid_pairs(monkeypatch):
     # a rigid first graph's search ends at its first leaf, after the scan
-    # of the second graph, which meets only the leaf it returns; the
-    # canonical search met 36 leaves here
+    # of the second graph, which meets only the leaf it returns, and no
+    # leaf on a non-isomorphic pair; the canonical search met 36 leaves here
     records = recorded_searches(monkeypatch)
-    a = graph6_decode(ISO_GOLDEN_CUBIC[0])
-    b = graph6_decode(ISO_GOLDEN_CUBIC[1])
-    assert are_isomorphic(a, b) is not None
-    assert leaves_per_kind(records) == {"scan": 1, "target": 0, "canonical": 1}
-    records.clear()
-    assert are_isomorphic(CUBIC_36, GOLDEN_CANON["cubic-36-b"][0]) is None
-    assert leaves_per_kind(records) == {"scan": 0, "target": 0, "canonical": 1}
-    records.clear()
-    # Petersen's scan ends at its second match; the canonical search goes
-    # on from the first leaf, and the search for its canonical leaf follows
-    assert are_isomorphic(petersen_subsets(), petersen_classic()) is not None
-    assert leaves_per_kind(records) == {"scan": 2, "target": 1, "canonical": 5}
+    for name, isomorphic in (("cubic-36 golden", True), ("cubic-36 vs cubic-36-b", False)):
+        result, leaves = iso_leaves(records, name)
+        assert (result is not None, leaves) == (isomorphic, COUNTS["iso_leaves"][name]), name
 
 
 def switch_two_edges(g, rng):
@@ -780,25 +788,41 @@ def test_pruned_search_matches_unpruned_symmetric():
         assert_matches_unpruned(circulant(n, jumps))
 
 
+#: the graphs of the counts file's search_leaves, built on demand
+COUNTED_GRAPHS = {
+    "hoffman-singleton": hoffman_singleton,
+    "paley-61": lambda: paley(61),
+    "petersen": petersen_subsets,
+    "K(7,3)": lambda: kneser(7, 3),
+    "J(7,3,1)": lambda: johnson_general(7, 3, 1),
+    "cubic-36": lambda: CUBIC_36,
+    "CFI(petersen)": lambda: cfi(CFI_BASES["petersen"][0]),
+    "CFI(petersen) twisted": lambda: cfi(CFI_BASES["petersen"][0], twisted=True),
+    "edgeless-62": lambda: Graph(62, (0,) * 62),
+    "K62": lambda: Graph(62, tuple(((1 << 62) - 1) ^ (1 << v) for v in range(62))),
+}
+
+
 @pytest.mark.parametrize(
-    "g, leaves",
+    "name",
     [
-        (hoffman_singleton(), 26),
-        (paley(61), 4),
-        (petersen_subsets(), 5),
-        (kneser(7, 3), 7),
-        (johnson_general(7, 3, 1), 8),
-        (CUBIC_36, 36),
-        (cfi(CFI_BASES["petersen"][0]), 12),
-        (cfi(CFI_BASES["petersen"][0], twisted=True), 12),
-    ],
-    ids=[
         "hoffman-singleton", "paley-61", "petersen", "K(7,3)", "J(7,3,1)",
         "cubic-36", "CFI(petersen)", "CFI(petersen) twisted",
     ],
 )
-def test_backjump_leaf_counts(g, leaves):
-    assert search._IRSearch(g).run().leaves == leaves
+def test_backjump_leaf_counts(name):
+    assert search._IRSearch(COUNTED_GRAPHS[name]()).run().leaves == COUNTS["search_leaves"][name]
+
+
+def test_counts_file_matches_a_fresh_run(monkeypatch):
+    # every count in the file, recomputed: a change to the pruning or to
+    # when a search ends shows as the entries that moved, (file, fresh)
+    records = recorded_searches(monkeypatch)
+    fresh = {name: search._IRSearch(g()).run().leaves for name, g in COUNTED_GRAPHS.items()}
+    fresh.update((name, iso_leaves(records, name)[1]) for name in COUNTED_PAIRS)
+    pinned = {**COUNTS["search_leaves"], **COUNTS["iso_leaves"]}
+    assert sorted(fresh) == sorted(pinned)
+    assert {name: (pinned[name], fresh[name]) for name in pinned if fresh[name] != pinned[name]} == {}
 
 
 def assert_every_generator_is_new(g):

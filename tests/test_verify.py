@@ -454,6 +454,25 @@ def test_homomorphism_past_256_points_raises_capacity_error():
         check_homomorphism(generators=[Permutation.identity(257)], action=lambda p: Permutation.identity(1))
 
 
+def test_homomorphism_holds_on_a_group_of_240_elements():
+    # S5 x C2 on 7 points: a Cayley column holds an element's index in a
+    # byte, so a group of up to 256 elements is checked in full
+    swap = Permutation.from_cycles(7, [[6, 7]])
+    gens = [Permutation(g.images + (5, 6)) for g in s5_generators()] + [swap]
+
+    def corrupted(p):
+        return Permutation.from_cycles(7, [[1, 2], [6, 7]]) if p == swap else p
+
+    assert assert_matches_reference(gens, lambda p: p) == (True, 57600)
+    assert assert_matches_reference(gens, corrupted)[0] is False
+
+
+def test_homomorphism_past_256_elements_raises_capacity_error():
+    s6 = [Permutation.from_cycles(6, [[1, 2]]), Permutation.from_cycles(6, [[1, 2, 3, 4, 5, 6]])]
+    with pytest.raises(CapacityError, match="^group exceeds cap of 256 elements$"):
+        check_homomorphism(s6, lambda p: p)
+
+
 def test_verify_petersen_images_past_256_points_falsified(monkeypatch):
     report = verify_petersen(action=padded_action(257))
     assert report.verdict == "FALSIFIED"
