@@ -21,7 +21,6 @@ __all__ = [
     "petersen_subsets",
     "petersen_classic",
     "edge_count",
-    "degree_sequence",
     "is_regular",
     "girth",
     "diameter",
@@ -139,10 +138,6 @@ class Graph:
 
 def edge_count(g: Graph) -> int:
     return sum(bits.bit_count() for bits in g.adj) // 2
-
-
-def degree_sequence(g: Graph) -> list[int]:
-    return sorted(bits.bit_count() for bits in g.adj)
 
 
 def is_regular(g: Graph) -> Optional[int]:

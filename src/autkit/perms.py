@@ -16,7 +16,6 @@ __all__ = [
     "Permutation",
     "BSGS",
     "CapacityError",
-    "orbit",
     "schreier_sims",
     "closure",
 ]
@@ -63,7 +62,12 @@ class Permutation:
         images = list(range(n))
         seen: set[int] = set()
         for cycle in cycles:
-            cycle = list(cycle)
+            try:
+                # exact ints, as in __init__: a float or str point would
+                # escape below as a TypeError
+                cycle = list(map(operator.index, cycle))
+            except TypeError:
+                raise ValueError(f"cycle {cycle!r} is not a sequence of integer points") from None
             for point in cycle:
                 if not 1 <= point <= n:
                     raise ValueError(f"cycle point {point!r} outside 1..{n}")
@@ -174,28 +178,6 @@ def _validated(generators: Iterable[Permutation]) -> tuple[list[Permutation], in
     return gens, n
 
 
-def orbit(generators: Iterable[Permutation], point: int) -> dict[int, Permutation]:
-    """Orbit of ``point`` under the generated group, as a transversal:
-    ``transversal[x]`` is a word in the generators mapping ``point`` to
-    ``x``, and the keys are the orbit in breadth-first order.
-    Deterministic for a fixed generator order.
-    """
-    gens, n = _validated(generators)
-    if not 0 <= point < n:
-        raise ValueError(f"point {point} outside 0..{n - 1}")
-    images = [g.images for g in gens]
-    words = {point: tuple(range(n))}
-    queue = [point]
-    for x in queue:
-        w = words[x]
-        for g in images:
-            y = g[x]
-            if y not in words:
-                words[y] = tuple([g[k] for k in w])
-                queue.append(y)
-    return {x: _trusted(w) for x, w in words.items()}
-
-
 class BSGS:
     """Base and strong generating set, built by :func:`schreier_sims`
     (incremental Schreier-Sims: Seress, *Permutation Group Algorithms*,
@@ -248,14 +230,11 @@ class BSGS:
     def order(self) -> int:
         return math.prod(len(words) for words in self._words)
 
-    def sift(self, p: Permutation) -> Permutation:
-        """Reduce ``p`` through the transversals; identity iff ``p`` is a member."""
+    def contains(self, p: Permutation) -> bool:
+        """Whether ``p`` sifts through the transversals to the identity."""
         if p.degree != self.degree:
             raise ValueError(f"degree mismatch: {p.degree} vs {self.degree}")
-        return _trusted(self._sift(p.images, 0)[0])
-
-    def contains(self, p: Permutation) -> bool:
-        return self.sift(p).is_identity()
+        return self._sift(p.images, 0)[0] == self._identity
 
     def __contains__(self, p: Permutation) -> bool:
         return self.contains(p)

@@ -13,7 +13,6 @@ from .graphs import Graph, edge_count, permute_graph
 from .perms import CapacityError, Permutation
 
 __all__ = [
-    "OrderedPartition",
     "CanonicalForm",
     "refine",
     "automorphism_group",
@@ -31,61 +30,6 @@ BRUTE_FORCE_MAX_VERTICES = 10
 _Trace = list[tuple[int, int]]
 #: a leaf of the search: its vertex order, certificate, and the trace of each depth
 _Leaf = tuple[list[int], bytes, tuple[_Trace, ...]]
-
-
-@dataclass(frozen=True)
-class OrderedPartition:
-    """An ordered list of disjoint, nonempty, ordered vertex cells."""
-
-    cells: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        cells: list[tuple[int, ...]] = []
-        seen: set[int] = set()
-        cell = self.cells
-        try:
-            for cell in self.cells:
-                vertices = []
-                for v in cell:
-                    try:
-                        # an exact int, as in Permutation: 0.0 == 0 would pass the checks below
-                        v = operator.index(v)
-                    except TypeError:
-                        raise ValueError(f"vertex {v!r} is not an integer") from None
-                    if v < 0:
-                        raise ValueError(f"negative vertex {v}")
-                    if v in seen:
-                        raise ValueError(f"vertex {v} appears in more than one cell")
-                    seen.add(v)
-                    vertices.append(v)
-                if not vertices:
-                    raise ValueError("partition cells must be nonempty")
-                cells.append(tuple(vertices))
-        except TypeError:
-            kind = "partition" if cell is self.cells else "partition cell"
-            raise ValueError(f"{kind} {cell!r} is not iterable") from None
-        object.__setattr__(self, "cells", tuple(cells))
-
-    @classmethod
-    def unit(cls, n: int) -> OrderedPartition:
-        if n < 1:
-            raise ValueError("partition needs at least one vertex")
-        return cls((tuple(range(n)),))
-
-    @classmethod
-    def discrete(cls, n: int) -> OrderedPartition:
-        if n < 1:
-            raise ValueError("partition needs at least one vertex")
-        return cls(tuple((v,) for v in range(n)))
-
-    def is_discrete(self) -> bool:
-        return all(len(cell) == 1 for cell in self.cells)
-
-
-def _check_covers(g: Graph, p: OrderedPartition) -> None:
-    flat = sorted(v for cell in p.cells for v in cell)
-    if flat != list(range(g.n)):
-        raise ValueError("partition does not cover the graph's vertex set exactly")
 
 
 def _refine(
@@ -206,14 +150,22 @@ def _flatten(n: int, cells: Iterable[Iterable[int]]) -> tuple[list[int], list[in
     return lab, end, cellof, dirty
 
 
-def refine(g: Graph, p: OrderedPartition) -> OrderedPartition:
-    """Coarsest equitable refinement of ``p`` with respect to ``g``:
-    afterwards all vertices of a cell have equally many neighbours in
-    every cell.  Idempotent, never coarsens, deterministic cell order."""
-    _check_covers(g, p)
-    lab, end, cellof, dirty = _flatten(g.n, p.cells)
+def refine(g: Graph, cells: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
+    """Coarsest equitable refinement of the ordered ``cells`` with respect
+    to ``g``: afterwards all vertices of a cell have equally many
+    neighbours in every cell.  The cells must be nonempty and partition
+    range(g.n).  Idempotent, never coarsens, deterministic cell order."""
+    try:
+        # an exact int, as in Permutation: 0.0 == 0 would pass the range check
+        cells = [tuple(map(operator.index, cell)) for cell in cells]
+        bad = not all(cells) or sorted(v for cell in cells for v in cell) != list(range(g.n))
+    except TypeError:
+        bad = True
+    if bad:
+        raise ValueError(f"cells are not a partition of range({g.n}) into nonempty cells")
+    lab, end, cellof, dirty = _flatten(g.n, cells)
     _refine([g.neighbors(v) for v in range(g.n)], lab, end, cellof, dirty, 0, [])
-    return OrderedPartition(_cells(lab, end))
+    return _cells(lab, end)
 
 
 def _cert_bytes(nbrs: list[tuple[int, ...]], order: list[int]) -> bytes:

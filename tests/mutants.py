@@ -35,6 +35,7 @@ SEARCH = "tests/test_search.py::"
 CLI = "tests/test_cli.py::"
 GRAPH6 = "tests/test_graph6.py::"
 GRAPHS = "tests/test_graphs.py::"
+GUARDS = "tests/test_guards.py::"
 PERMS = "tests/test_perms.py::"
 VERIFY = "tests/test_verify.py::"
 #: hypothesis's report of a failing example imports libcst, which warns on
@@ -80,6 +81,14 @@ MUTANTS = (
             CLI + "test_aut_petersen_reports_order_120",
             SEARCH + "test_search_order_matches_schreier_sims_random",
         ),
+    ),
+    # refine's one guard: an empty cell would break the flat layout
+    Mutant(
+        "search.py",
+        "empty cells let through refine's guard",
+        "not all(cells) or ",
+        "",
+        (SEARCH + "test_partition_validation",),
     ),
     # refinement, the tree and its pruning
     Mutant(
@@ -276,6 +285,29 @@ MUTANTS = (
             PERMS + "test_closure_matches_permutation_product_reference",
         ),
     ),
+    # membership sifts through every level of the chain
+    Mutant(
+        "perms.py",
+        "membership sifted from level 1",
+        "self._sift(p.images, 0)[0] == self._identity",
+        "self._sift(p.images, 1)[0] == self._identity",
+        (GUARDS + "test_guard_or_result[bsgs-in]", PERMS + "test_membership_agrees_with_closure"),
+    ),
+    # the verdict: each term that one probe alone fails
+    Mutant(
+        "verify.py",
+        "verdict ignores whether φ lands in Aut",
+        "        all_automorphisms\n        and hom_ok\n",
+        "        hom_ok\n",
+        (VERIFY + "test_verdict_falsified_when_phi_alone_leaves_aut",),
+    ),
+    Mutant(
+        "verify.py",
+        "verdict ignores the search's order",
+        "        and aut_order_search == S5_ORDER\n",
+        "",
+        (VERIFY + "test_verdict_falsified_when_the_search_order_alone_is_wrong",),
+    ),
     # the verifier's exhaustive checks, on the Cayley columns of S5
     Mutant(
         "verify.py",
@@ -336,6 +368,32 @@ SURVIVORS = (
         " shows the first graph not rigid; on the 774 pairs of the iso"
         " corpora in tests/test_search.py it met no further leaf, so no"
         " output and no count in BENCH_counts.json changes",
+    ),
+    Survivor(
+        "verify.py",
+        "verdict ignores the kernel",
+        "        and kernel_ok\n",
+        "",
+        "given the homomorphism, |image| = 120 / |kernel|, so a kernel that"
+        " is not trivial gives an image order other than 120, which the"
+        " verdict's image term already fails",
+    ),
+    Survivor(
+        "verify.py",
+        "verdict ignores the image order",
+        "        and image_order == S5_ORDER\n",
+        "",
+        "given the homomorphism, the image has 120 elements exactly when the"
+        " kernel is trivial, which the verdict's kernel term already checks",
+    ),
+    Survivor(
+        "verify.py",
+        "verdict ignores the brute-force order",
+        "        and (aut_order_brute is None or aut_order_brute == S5_ORDER)\n",
+        "",
+        "the exhaustive count differs from the search's order only when the"
+        " search is wrong; no test runs a wrong search, so on every probe"
+        " graph the search term already decides",
     ),
     Survivor(
         "perms.py",

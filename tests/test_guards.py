@@ -6,7 +6,6 @@ import pytest
 from autkit import (
     Graph,
     KSubset,
-    OrderedPartition,
     Permutation,
     are_isomorphic,
     automorphism_group,
@@ -16,6 +15,7 @@ from autkit import (
     diameter,
     is_connected,
     petersen_subsets,
+    refine,
     schreier_sims,
 )
 
@@ -29,11 +29,9 @@ CASES = {
     "canonical_form-empty": (lambda: canonical_form(EMPTY), NO_VERTEX),
     "are_isomorphic-empty": (lambda: are_isomorphic(EMPTY, EMPTY), NO_VERTEX),
     "brute_force-empty": (lambda: brute_force_automorphisms(EMPTY), NO_VERTEX),
-    "partition-negative-vertex": (lambda: OrderedPartition(((0, -1),)), (ValueError, "negative vertex -1")),
-    "partition-unit-0": (lambda: OrderedPartition.unit(0), (ValueError, "partition needs at least one vertex")),
-    "partition-discrete-0": (
-        lambda: OrderedPartition.discrete(0),
-        (ValueError, "partition needs at least one vertex"),
+    "partition-negative-vertex": (
+        lambda: refine(Graph(2, (0, 0)), ((0, -1),)),
+        (ValueError, "cells are not a partition of range(2) into nonempty cells"),
     ),
     "ksubset-ground-0": (lambda: KSubset(0, ()), (ValueError, "ground set size must be positive")),
     "closure-cap-0": (lambda: closure([SWAP], cap=0), (ValueError, "cap must be positive")),
@@ -54,6 +52,18 @@ CASES = {
     "from_cycles-degree-0": (
         lambda: Permutation.from_cycles(0, []),
         (ValueError, "permutation degree must be at least 1"),
+    ),
+    "from_cycles-float-point": (
+        lambda: Permutation.from_cycles(3, [[1.0, 2]]),
+        (ValueError, "cycle [1.0, 2] is not a sequence of integer points"),
+    ),
+    "from_cycles-str-point": (
+        lambda: Permutation.from_cycles(3, [["1", 2]]),
+        (ValueError, "cycle ['1', 2] is not a sequence of integer points"),
+    ),
+    "from_cycles-cycle-not-iterable": (
+        lambda: Permutation.from_cycles(3, [5]),
+        (ValueError, "cycle 5 is not a sequence of integer points"),
     ),
 }
 

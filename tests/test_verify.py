@@ -4,6 +4,7 @@ import random
 import pytest
 
 import autkit.verify
+import reference_perms
 import reference_verify
 from autkit import (
     CapacityError,
@@ -12,7 +13,7 @@ from autkit import (
     closure,
     is_automorphism,
     kneser,
-    orbit,
+    petersen_classic,
     petersen_subsets,
 )
 from autkit.verify import (
@@ -119,7 +120,7 @@ def test_phi_respects_inverses():
 
 def test_phi_image_is_vertex_and_edge_transitive(petersen):
     gens = [induced_action(g) for g in s5_generators()]
-    vertices = orbit(gens, 0)
+    vertices, _ = reference_perms.orbit(gens, 0)
     assert len(vertices) == 10
     start = frozenset({0, 5})
     assert petersen.has_edge(0, 5)
@@ -613,3 +614,21 @@ def test_verdict_falsified_for_added_edge(petersen):
 
 def test_verdict_falsified_for_corrupted_generator_image():
     assert verify_petersen(action=corrupt_transposition_image).verdict == "FALSIFIED"
+
+
+def test_verdict_falsified_when_phi_alone_leaves_aut():
+    # the classic drawing is Petersen under other labels: every order and
+    # the homomorphism hold, but φ's images are not its automorphisms
+    report = verify_petersen(run_brute=True, graph=petersen_classic())
+    assert (report.homomorphism_checked, report.kernel_trivial) == (14400, True)
+    assert (report.image_order, report.aut_order_search, report.aut_order_brute) == (120, 120, 120)
+    assert report.verdict == "FALSIFIED"
+
+
+def test_verdict_falsified_when_the_search_order_alone_is_wrong():
+    # every vertex map is an automorphism of the edgeless graph, so φ lands
+    # in Aut, and only |Aut| = 10! is not 120
+    report = verify_petersen(graph=Graph(10, (0,) * 10))
+    assert (report.homomorphism_checked, report.kernel_trivial, report.image_order) == (14400, True, 120)
+    assert report.aut_order_search == 3628800
+    assert report.verdict == "FALSIFIED"
