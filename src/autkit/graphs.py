@@ -85,6 +85,8 @@ class Graph:
         rows = []
         asymmetric = []
         for u, bits in enumerate(adj):
+            if bits < 0:
+                raise ValueError(f"adjacency of vertex {u} is negative")
             if bits >> self.n:
                 raise ValueError(f"adjacency of vertex {u} mentions vertices >= {self.n}")
             mask = 1 << u

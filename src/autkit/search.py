@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .graphs import Graph, edge_count, permute_graph
 from .perms import CapacityError, Permutation
@@ -269,8 +269,9 @@ class _IRSearch:
     that fix the first d path vertices are still those the loop ended
     with.  ``canonical_form`` and ``are_isomorphic`` take no orbit.
 
-    Each leaf is kept as its vertex order, and ``best`` also keeps the
-    split traces of the refinements on its path, one list per depth.
+    Each leaf is kept as its vertex order, and ``first`` and ``best`` also
+    keep the split traces of the refinements on their paths, one list per
+    depth.
     With a ``target``, such a trace and certificate of a leaf of another
     graph, the search looks only for leaves with that certificate.  A
     child is dropped at the first split of its refinement that the trace
@@ -297,11 +298,11 @@ class _IRSearch:
     That argument uses of the target only its traces and certificate, not
     that it is canonical: a graph holds a leaf with the traces and
     certificate of any leaf of another graph exactly when the two graphs
-    are isomorphic.  ``on_first`` is called once, with the first leaf's
-    vertex order, certificate and traces: a true result ends the search
-    there, and after a false one the search goes on as if it had not been
-    called.  ``are_isomorphic`` pauses g1's search this way at its first
-    leaf F and takes F as target for a scan of g2.  When g1 and g2 are
+    are isomorphic.  The search is a walk, ``walk``, that pauses once,
+    after its first leaf, and ``run()`` drives it to its end from wherever
+    it stands.  ``are_isomorphic`` pauses g1's search at its first leaf F,
+    takes F as target for a scan of g2, and resumes g1's search only when
+    the scan shows that g1 has automorphisms.  When g1 and g2 are
     isomorphic, the scan meets a second match or a generator exactly when
     g1 is not rigid:
 
@@ -324,97 +325,106 @@ class _IRSearch:
 
     ``run()`` returns the search, whose attributes are its record:
     ``gens``, for ``automorphisms`` and the scan's verdict; the first
-    leaf's vertex order and certificate ``first``, for ``are_isomorphic``
-    (it is F), and its path ``first_prefix``, along which
+    leaf ``first``, for ``are_isomorphic`` (it is F), and its path
+    ``first_prefix``, along which
     ``automorphisms`` takes the orbits; ``best``, for ``canonical_form``
     and ``are_isomorphic``; ``matches``, the leaves with the target
     certificate, for the scan's verdict; and ``leaves``, every leaf
     visited, for the tests.
     """
 
-    def __init__(
-        self,
-        g: Graph,
-        target: Optional[tuple[Sequence[_Trace], bytes]] = None,
-        on_first: Optional[Callable[[list[int], bytes, tuple[_Trace, ...]], bool]] = None,
-    ) -> None:
+    def __init__(self, g: Graph, target: Optional[tuple[Sequence[_Trace], bytes]] = None) -> None:
         if g.n < 1:
             raise ValueError("graph must have at least one vertex")
         self.nbrs = [g.neighbors(v) for v in range(g.n)]
         self.target_trace, self.target_cert = target if target is not None else (None, None)
-        self.on_first = on_first
         self.matches = self.leaves = 0
         self.gens: list[Permutation] = []
-        self.first: Optional[tuple[list[int], bytes]] = None
+        self.first: Optional[_Leaf] = None
         self.first_prefix: tuple[int, ...] = ()
         self.best: Optional[_Leaf] = None
+        self.walk = self._walk()
 
     def run(self) -> _IRSearch:
-        # one list of dirty flags serves every refinement: each ends clean
-        lab, end, cellof, self.dirty = _flatten(len(self.nbrs), [range(len(self.nbrs))])
-        trace: _Trace = []
-        expect = self.target_trace[0] if self.target_trace else None
-        if _refine(self.nbrs, lab, end, cellof, self.dirty, 0, trace, expect):
-            self._node(lab, end, cellof, (), (trace,))
+        for _ in self.walk:
+            pass
         return self
 
-    @staticmethod
-    def _target_cell(end: list[int]) -> Optional[int]:
-        # start of the leftmost cell of minimum size among the non-singletons
-        best = None
-        size = len(end) + 1
-        i = 0
-        while i < len(end):
-            if 1 < end[i] - i < size:
-                best, size = i, end[i] - i
-            i = end[i]
-        return best
+    def _walk(self) -> Iterator[None]:
+        """The search, with a frame for each node on the current path on
+        one stack; it pauses once, after the first leaf.
 
-    def _node(
-        self,
-        lab: list[int],
-        end: list[int],
-        cellof: list[int],
-        prefix: tuple[int, ...],
-        traces: tuple[_Trace, ...],
-    ) -> int:
-        """Search the subtree of a node with an equitable partition, reached
-        by individualizing ``prefix`` with split traces ``traces``; return
-        the depth of the node to resume at, -1 to end the search.
-
+        A frame holds a node's equitable partition, its prefix of
+        individualized vertices, their split traces, its target cell (the
+        leftmost of least size among the non-singletons), its untried
+        children, and its searched children closed under the orbits.
         A child individualizes a vertex v of the target cell: v alone at
         the cell's start, then the rest of the cell.  Only those two cells
         start dirty: every other cell c is a cell of the node, and every
         child cell lies inside a cell of the node, whose vertices all have
-        equally many neighbours in c; so c splits nothing."""
-        target = self._target_cell(end)
-        if target is None:
-            return self._leaf(lab, prefix, traces)
-        depth = len(prefix)
-        expect = self.target_trace[depth + 1] if self.target_trace else None
-        stop = end[target]
-        covered: set[int] = set()
-        for v in lab[target:stop]:
-            if v in covered:
-                continue
-            rest = [u for u in lab[target:stop] if u != v]
-            child_lab, child_end, child_cellof = lab[:], end[:], cellof[:]
-            child_lab[target] = v
-            child_lab[target + 1:stop] = rest
-            child_end[target] = target + 1
-            child_end[target + 1] = stop
-            for u in rest:
-                child_cellof[u] = target + 1
-            self.dirty[target] = self.dirty[target + 1] = True
-            trace: _Trace = []
-            if not _refine(self.nbrs, child_lab, child_end, child_cellof, self.dirty, target, trace, expect):
-                continue
-            jump = self._node(child_lab, child_end, child_cellof, prefix + (v,), traces + (trace,))
-            if jump < depth:
-                return jump
-            covered.add(v)
-            self._close_orbits(covered, prefix)
-        return depth
+        equally many neighbours in c; so c splits nothing.
+
+        A leaf gives the depth of the node to resume at, and the stack
+        unwinds to it; -1 empties the stack and ends the search.  A frame
+        whose children are all tried is popped.  Either way, the node left
+        on top marks its child on the path searched."""
+        nbrs, target_trace = self.nbrs, self.target_trace
+        n = len(nbrs)
+        # one list of dirty flags serves every refinement: each ends clean
+        lab, end, cellof, dirty = _flatten(n, [range(n)])
+        prefix: tuple[int, ...] = ()
+        traces: tuple[_Trace, ...] = ([],)
+        if not _refine(nbrs, lab, end, cellof, dirty, 0, traces[0], target_trace[0] if target_trace else None):
+            return
+        stack = []
+        while True:
+            # the node's target cell, or None at a leaf
+            target, size, i = None, n + 1, 0
+            while i < n:
+                if 1 < end[i] - i < size:
+                    target, size = i, end[i] - i
+                i = end[i]
+            if target is None:
+                jump = self._leaf(lab, prefix, traces)
+                if self.leaves == 1:
+                    yield
+                del stack[jump + 1:]
+                # the path whose child the node on top marks searched
+                path = prefix
+            else:
+                stack.append((lab, end, cellof, prefix, traces, target, iter(lab[target:end[target]]), set()))
+                path = None
+            # descend to the next untried child that refines, popping
+            # every frame whose children are all tried
+            while stack:
+                lab, end, cellof, prefix, traces, target, children, covered = stack[-1]
+                if path is not None:
+                    covered.add(path[len(prefix)])
+                    self._close_orbits(covered, prefix)
+                expect = target_trace[len(prefix) + 1] if target_trace else None
+                stop = end[target]
+                for v in children:
+                    if v in covered:
+                        continue
+                    rest = [u for u in lab[target:stop] if u != v]
+                    child_lab, child_end, child_cellof = lab[:], end[:], cellof[:]
+                    child_lab[target] = v
+                    child_lab[target + 1:stop] = rest
+                    child_end[target] = target + 1
+                    child_end[target + 1] = stop
+                    for u in rest:
+                        child_cellof[u] = target + 1
+                    dirty[target] = dirty[target + 1] = True
+                    trace: _Trace = []
+                    if _refine(nbrs, child_lab, child_end, child_cellof, dirty, target, trace, expect):
+                        break
+                else:
+                    path = stack.pop()[3]
+                    continue
+                break
+            else:
+                return
+            lab, end, cellof, prefix, traces = child_lab, child_end, child_cellof, prefix + (v,), traces + (trace,)
 
     def _close_orbits(self, points: set[int], prefix: tuple[int, ...]) -> set[int]:
         """Grow ``points`` in place to its orbit under the generators
@@ -447,10 +457,8 @@ class _IRSearch:
             if self.best is None:
                 self.best = (order, cert, traces)
         elif self.first is None:
-            self.first = (order, cert)
+            self.first = (order, cert, traces)
             self.first_prefix = prefix
-            if self.on_first is not None and self.on_first(order, cert, traces):
-                return -1
         elif cert == self.first[1]:
             self.gens.append(_mapping(order, self.first[0]))
             # the new generator maps the first path onto this leaf's path:
@@ -513,21 +521,15 @@ def are_isomorphic(g1: Graph, g2: Graph) -> Optional[Permutation]:
         raise ValueError("graph must have at least one vertex")
     if g1.n != g2.n or edge_count(g1) != edge_count(g2):
         return None
-    scanned: Optional[_IRSearch] = None
-
-    def scan(order: list[int], cert: bytes, traces: tuple[_Trace, ...]) -> bool:
-        nonlocal scanned
-        scanned = _IRSearch(g2, (traces, cert)).run()
-        return scanned.best is None or scanned.matches == 1 and not scanned.gens
-
-    search = _IRSearch(g1, on_first=scan).run()
-    if search.best is None:
-        # the scan ended g1's search at F, before F became best
-        order, leaf = search.first[0], scanned.best
-        if leaf is None:
-            return None
-    else:
-        order, cert, traces = search.best
+    search = _IRSearch(g1)
+    next(search.walk)
+    order, cert, traces = search.first
+    scan = _IRSearch(g2, (traces, cert)).run()
+    leaf = scan.best
+    if leaf is None:
+        return None
+    if scan.matches > 1 or scan.gens:
+        order, cert, traces = search.run().best
         leaf = _IRSearch(g2, (traces, cert)).run().best
         assert leaf is not None
     sigma = _mapping(order, leaf[0])

@@ -108,8 +108,9 @@ MUTANTS = (
     Mutant(
         "search.py",
         "no orbit pruning",
-        "            covered.add(v)\n            self._close_orbits(covered, prefix)\n",
-        "            covered.add(v)\n",
+        "                    covered.add(path[len(prefix)])\n"
+        "                    self._close_orbits(covered, prefix)\n",
+        "                    covered.add(path[len(prefix)])\n",
         (SEARCH + "test_backjump_leaf_counts[petersen]", SEARCH + "test_every_generator_is_new[petersen]"),
     ),
     Mutant(
@@ -123,37 +124,59 @@ MUTANTS = (
     ),
     Mutant(
         "search.py",
+        "a leaf unwinds one frame too many",
+        "del stack[jump + 1:]",
+        "del stack[jump:]",
+        (
+            SEARCH + "test_backjump_leaf_counts[J(7,3,1)]",
+            SEARCH + "test_search_order_matches_schreier_sims_random",
+        ),
+    ),
+    Mutant(
+        "search.py",
         "leaves never incremented",
         "        self.leaves += 1\n",
         "",
         (SEARCH + "test_backjump_leaf_counts", SEARCH + "test_iso_leaf_counts_on_rigid_pairs"),
     ),
-    # the first-leaf hook, the scan that are_isomorphic runs from it, and
-    # the one rule that ends every search with a target
+    # the pause at the first leaf, the scan that are_isomorphic runs
+    # there, and the one rule that ends every search with a target
     Mutant(
         "search.py",
-        "first-leaf hook always ends the search",
-        "and self.on_first(order, cert, traces):",
-        "and (self.on_first(order, cert, traces) or True):",
+        "walk never pauses",
+        "if self.leaves == 1:",
+        "if self.leaves == 0:",
+        (CLI + "test_iso_non_isomorphic_cubic_pair",),
+    ),
+    Mutant(
+        "search.py",
+        "walk pauses at its second leaf",
+        "if self.leaves == 1:",
+        "if self.leaves == 2:",
+        (SEARCH + "test_iso_leaf_counts_on_rigid_pairs",),
+    ),
+    Mutant(
+        "search.py",
+        "first graph's walk never resumed",
+        "if scan.matches > 1 or scan.gens:",
+        "if False:",
         (
             SEARCH + "test_target_search_leaf_counts",
-            SEARCH + "test_scan_finds_an_automorphism_exactly_when_there_is_one[petersen]",
+            SEARCH + "test_are_isomorphic_matches_two_canonical_forms[petersen]",
         ),
     ),
     Mutant(
         "search.py",
-        "first-leaf hook result ignored",
-        "            if self.on_first is not None and self.on_first(order, cert, traces):\n"
-        "                return -1\n",
-        "            if self.on_first is not None:\n"
-        "                self.on_first(order, cert, traces)\n",
-        (SEARCH + "test_iso_leaf_counts_on_rigid_pairs", CLI + "test_iso_non_isomorphic_cubic_pair"),
+        "first graph's walk always resumed",
+        "if scan.matches > 1 or scan.gens:",
+        "if True:",
+        (SEARCH + "test_iso_leaf_counts_on_rigid_pairs",),
     ),
     Mutant(
         "search.py",
         "scan verdict ignores gens",
-        "scanned.matches == 1 and not scanned.gens",
-        "scanned.matches == 1",
+        "scan.matches > 1 or scan.gens",
+        "scan.matches > 1",
         (SEARCH + "test_are_isomorphic_matches_two_canonical_forms[small-cubic]",),
     ),
     Mutant(
@@ -169,8 +192,8 @@ MUTANTS = (
     Mutant(
         "search.py",
         "first graph called rigid after a second match",
-        "scanned.matches == 1 and",
-        "scanned.matches <= 2 and",
+        "scan.matches > 1 or",
+        "scan.matches > 2 or",
         (
             SEARCH + "test_target_search_leaf_counts",
             SEARCH + "test_are_isomorphic_matches_two_canonical_forms[small-cubic]",

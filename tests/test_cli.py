@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import math
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -196,6 +200,32 @@ def test_aut_order_line_golden(g, tail, tmp_path):
     code, out, err = run_in_process(["aut", str(path)])
     assert (code, err) == (0, "")
     assert out.splitlines()[-len(tail):] == tail
+
+
+#: ``autkit.cli.main`` with the recursion limit lowered after import,
+#: below the depth of edgeless-62's first path (61)
+SHALLOW_MAIN = "import sys, autkit.cli; sys.setrecursionlimit(45); sys.exit(autkit.cli.main(sys.argv[1:]))"
+
+
+def test_a_first_path_deeper_than_the_recursion_limit_runs(tmp_path):
+    # the search keeps its path on a stack of its own, so no call depth
+    # grows with the depth of the tree; iso also pauses g1's walk at its
+    # first leaf and resumes it, since the edgeless graph is not rigid
+    path = str(tmp_path / "edgeless-62.g6")
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(graph6_encode(Graph(62, (0,) * 62)) + "\n")
+
+    def run(*args):
+        proc = subprocess.run([sys.executable, "-c", SHALLOW_MAIN, *args], capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, ""), args
+        return proc.stdout.splitlines()
+
+    *gens, order = run("aut", path)
+    assert len(gens) == 61
+    assert all(re.fullmatch(r"\(\d+ \d+\)", line) for line in gens)
+    assert order == f"order {math.factorial(62)}"
+    assert run("canon", path) == ["n=62:" + "0" * 474]
+    assert run("iso", path, path) == [" ".join(f"{v}->{v}" for v in range(1, 63))]
 
 
 def test_aut_rejects_malformed_graph6():

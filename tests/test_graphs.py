@@ -229,6 +229,9 @@ def test_graph_validation():
         (2, (0,), "adjacency length does not match vertex count"),
         (2, (0b100, 0), "adjacency of vertex 0 mentions vertices >= 2"),
         (3, (0b110, 0, 0), "adjacency not symmetric at (0, 1)"),
+        # -1 >> 2 is -1: a negative row must not read as one past the range
+        (2, (-1, 0), "adjacency of vertex 0 is negative"),
+        (3, (0, -2, 0), "adjacency of vertex 1 is negative"),
     ],
 )
 def test_graph_validation_messages(n, adj, message):

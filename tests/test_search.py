@@ -411,15 +411,16 @@ def test_are_isomorphic_matches_two_canonical_forms(family):
 
 
 def recorded_searches(monkeypatch):
-    """A list that collects the record of every search run from now on."""
+    """A list that collects the record of every search made from now on,
+    in the order the searches are made."""
     records = []
-    run = search._IRSearch.run
+    init = search._IRSearch.__init__
 
-    def recording(self):
+    def recording(self, *args):
+        init(self, *args)
         records.append(self)
-        return run(self)
 
-    monkeypatch.setattr(search._IRSearch, "run", recording)
+    monkeypatch.setattr(search._IRSearch, "__init__", recording)
     return records
 
 
@@ -439,7 +440,7 @@ COUNTED_PAIRS = {
 
 def iso_leaves(records, name):
     """``are_isomorphic``'s result on the counts file's pair ``name``, and
-    the leaves visited by each search it ran, in the order they ran."""
+    the leaves visited by each search it made, in the order it made them."""
     records.clear()
     result = are_isomorphic(*COUNTED_PAIRS[name]())
     return result, [s.leaves for s in records]
@@ -461,18 +462,13 @@ def test_target_search_leaf_counts(monkeypatch):
 
 def scan(g, h):
     """g's first leaf, the record of the scan of h for it that
-    ``are_isomorphic`` runs from inside g's search, and the record of g's
-    search when the scan lets it go on."""
-    scans = []
-
-    def hook(order, cert, traces):
-        s = search._IRSearch(h, (traces, cert)).run()
-        scans.append(((order, cert, traces), s))
-        return False
-
-    result = search._IRSearch(g, on_first=hook).run()
-    [(leaf, s)] = scans
-    return leaf, s, result
+    ``are_isomorphic`` runs while g's search is paused there, and the
+    record of g's search resumed after the scan."""
+    result = search._IRSearch(g)
+    next(result.walk)
+    order, cert, traces = result.first
+    s = search._IRSearch(h, (traces, cert)).run()
+    return (order, cert, traces), s, result.run()
 
 
 def assert_scan_finds_rigidity(g, has_automorphism, rng):
@@ -481,7 +477,7 @@ def assert_scan_finds_rigidity(g, has_automorphism, rng):
     (order, cert, traces), s, result = scan(g, shuffled(g, rng))
     full = search._IRSearch(g).run()
     assert (result.gens, result.best) == (full.gens, full.best)
-    assert (order, cert) == full.first
+    assert (order, cert, traces) == full.first
     assert list(traces) == reference_search.path_trace(g, order)
     assert s.best is not None
     assert (s.matches > 1 or bool(s.gens)) == has_automorphism
