@@ -544,6 +544,13 @@ def brute_force_automorphisms(g: Graph) -> list[Permutation]:
     A scan over the g.n! vertex maps that abandons a partial map as soon
     as it breaks adjacency, which cannot lose solutions, so it never lists
     the candidates one by one.  Guarded at 10 vertices (10! maps).
+
+    Vertex i's image is drawn from the neighbours of the image of its
+    first earlier neighbour, or from all vertices when it has none.  An
+    automorphism maps i next to that image, so no automorphism is lost;
+    every other vertex would fail the adjacency test anyway, and a
+    neighbour tuple is in increasing order, so the scan extends the same
+    partial maps, in the same order, as one that tries all n vertices.
     """
     if g.n > BRUTE_FORCE_MAX_VERTICES:
         raise CapacityError(f"brute force is capped at {BRUTE_FORCE_MAX_VERTICES} vertices")
@@ -551,6 +558,8 @@ def brute_force_automorphisms(g: Graph) -> list[Permutation]:
         raise ValueError("graph must have at least one vertex")
     n = g.n
     adj = g.adj
+    nbrs = [g.neighbors(v) for v in range(n)]
+    earlier = [tuple(j for j in nbrs[i] if j < i) for i in range(n)]
     images = [0] * n
     found: list[Permutation] = []
 
@@ -560,12 +569,11 @@ def brute_force_automorphisms(g: Graph) -> list[Permutation]:
         if i == n:
             found.append(Permutation(images))
             return
-        row = adj[i]
+        back = earlier[i]
         want = 0
-        for j in range(i):
-            if (row >> j) & 1:
-                want |= 1 << images[j]
-        for t in range(n):
+        for j in back:
+            want |= 1 << images[j]
+        for t in nbrs[images[back[0]]] if back else range(n):
             if not (used >> t) & 1 and adj[t] & used == want:
                 images[i] = t
                 place(i + 1, used | 1 << t)

@@ -199,6 +199,39 @@ MUTANTS = (
             SEARCH + "test_are_isomorphic_matches_two_canonical_forms[small-cubic]",
         ),
     ),
+    # the exhaustive scan, which draws each image from the neighbours of an
+    # earlier neighbour's image; building ``earlier`` from j <= i is an
+    # equivalent mutant, since a graph has no loops, so it is not listed
+    Mutant(
+        "search.py",
+        "scan draws from the earlier neighbour's neighbours, not its image's",
+        "nbrs[images[back[0]]]",
+        "nbrs[back[0]]",
+        (
+            SEARCH + "test_brute_force_matches_permutation_oracle",
+            SEARCH + "test_brute_force_matches_search_group_past_n7",
+        ),
+    ),
+    Mutant(
+        "search.py",
+        "scan's earlier neighbours are the later ones",
+        "if j < i)",
+        "if j > i)",
+        (
+            SEARCH + "test_brute_force_matches_permutation_oracle",
+            SEARCH + "test_brute_force_matches_search_group_past_n7",
+        ),
+    ),
+    Mutant(
+        "search.py",
+        "scan wants no earlier neighbour's image",
+        "want |= 1 << images[j]",
+        "want |= 0",
+        (
+            SEARCH + "test_brute_force_matches_permutation_oracle",
+            SEARCH + "test_brute_force_matches_search_group_past_n7",
+        ),
+    ),
     # graph6: both directions share the column layout and the alphabet, so
     # a fault in a shared piece needs a check against an independent one
     Mutant(

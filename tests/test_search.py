@@ -680,6 +680,26 @@ def test_brute_force_matches_permutation_oracle():
         assert brute_force_automorphisms(g) == oracle_automorphisms(g), g.adj
 
 
+def complement(g):
+    full = (1 << g.n) - 1
+    return Graph(g.n, tuple(full & ~row & ~(1 << v) for v, row in enumerate(g.adj)))
+
+
+def test_brute_force_matches_search_group_past_n7(petersen):
+    # n = 8-10 is past the permutation oracle's reach, so the scan is checked
+    # against the closure of the search's generators, which it does not share
+    rng = random.Random(2028)
+    sparse = [random_graph(rng, 9, 0.3) for _ in range(4)]
+    # a vertex past 0 with no earlier neighbour draws its image from all n
+    assert any(not row & ((1 << v) - 1) for g in sparse for v, row in enumerate(g.adj) if v)
+    graphs = [petersen, petersen_classic(), complement(petersen)]
+    graphs += [random_graph(rng, 10) for _ in range(6)]
+    graphs += sparse + [Graph(8, (0,) * 8)]
+    for g in graphs:
+        group = closure(automorphism_group(g), math.factorial(g.n))
+        assert brute_force_automorphisms(g) == sorted(group, key=lambda q: q.images), g.adj
+
+
 def test_brute_force_capacity_guard():
     with pytest.raises(CapacityError):
         brute_force_automorphisms(Graph(11, (0,) * 11))
