@@ -9,8 +9,8 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .graphs import Graph, edge_count, permute_graph
-from .perms import CapacityError, Permutation
+from .graphs import Graph, _bfs_distances, edge_count, permute_graph
+from .perms import CapacityError, Permutation, _trusted
 
 __all__ = [
     "CanonicalForm",
@@ -545,12 +545,16 @@ def brute_force_automorphisms(g: Graph) -> list[Permutation]:
     as it breaks adjacency, which cannot lose solutions, so it never lists
     the candidates one by one.  Guarded at 10 vertices (10! maps).
 
-    Vertex i's image is drawn from the neighbours of the image of its
-    first earlier neighbour, or from all vertices when it has none.  An
-    automorphism maps i next to that image, so no automorphism is lost;
-    every other vertex would fail the adjacency test anyway, and a
-    neighbour tuple is in increasing order, so the scan extends the same
-    partial maps, in the same order, as one that tries all n vertices.
+    Vertices are placed in breadth-first order, each component from its
+    least vertex, so that every vertex but a component's first has an
+    earlier neighbour and a partial map breaks adjacency as early as it
+    can.  A component's first vertex draws its image from all vertices;
+    every other vertex draws from the neighbours of the image of its
+    first earlier neighbour.  An automorphism maps a vertex next to that
+    image, so no automorphism is lost, and every other vertex would fail
+    the adjacency test anyway.  The scan finds the same automorphisms as
+    one in index order that tries all n vertices, in another order, and
+    returns them sorted.
     """
     if g.n > BRUTE_FORCE_MAX_VERTICES:
         raise CapacityError(f"brute force is capped at {BRUTE_FORCE_MAX_VERTICES} vertices")
@@ -559,24 +563,34 @@ def brute_force_automorphisms(g: Graph) -> list[Permutation]:
     n = g.n
     adj = g.adj
     nbrs = [g.neighbors(v) for v in range(n)]
-    earlier = [tuple(j for j in nbrs[i] if j < i) for i in range(n)]
+    # a distance dict lists the vertices in the order a search reaches them
+    order: list[int] = []
+    rank = [n] * n
+    for root in range(n):
+        if rank[root] == n:
+            for v in _bfs_distances(g, root):
+                rank[v] = len(order)
+                order.append(v)
+    earlier = [tuple(u for u in nbrs[v] if rank[u] < rank[v]) for v in order]
     images = [0] * n
-    found: list[Permutation] = []
+    found: list[tuple[int, ...]] = []
 
     def place(i: int, used: int) -> None:
-        # used is the bitmask of images[:i]; t extends the map iff it is unused
-        # and its neighbours in used are the images of i's earlier neighbours
+        # used is the bitmask of the images of order[:i]; t extends the map
+        # iff it is unused and its neighbours in used are the images of the
+        # earlier neighbours of order[i]
         if i == n:
-            found.append(Permutation(images))
+            found.append(tuple(images))
             return
         back = earlier[i]
         want = 0
-        for j in back:
-            want |= 1 << images[j]
+        for u in back:
+            want |= 1 << images[u]
         for t in nbrs[images[back[0]]] if back else range(n):
             if not (used >> t) & 1 and adj[t] & used == want:
-                images[i] = t
+                images[order[i]] = t
                 place(i + 1, used | 1 << t)
 
     place(0, 0)
-    return found
+    # each leaf maps n vertices to n distinct ones: a bijection
+    return list(map(_trusted, sorted(found)))

@@ -133,12 +133,19 @@ def _homomorphism_pairs(elements: list[Permutation], images: list[Permutation]) 
     product is one of them, and the group's Cayley columns
     (``_cayley_columns``) give the index of each g * h.
 
-    Permutations are compared as byte strings, and p * q is
-    ``p.translate(table of q)``, so a degree past ``BYTE_POINTS`` raises
-    ``CapacityError`` before any pair is compared.  When every image has
-    one degree, the pairs with h = elements[j] are checked together:
-    the images phi(g * h) joined in the order of g, against the joined
-    images phi(g) read through phi(h)'s table.
+    Permutations are held as byte strings, so a degree past
+    ``BYTE_POINTS`` raises ``CapacityError`` before any pair is compared.
+    When every image has one degree d, all pairs are checked together at
+    one point x at a time, as two byte strings of one byte per pair, in
+    pair order.  The group's multiplication table, its Cayley columns
+    transposed to rows, holds the index of g * h at g's index * n + h's
+    index, n being the group's order; read through x's point column
+    (phi(elements[k])[x] for every k, as a ``bytes.translate`` table) it
+    gives phi(g * h)[x] for every pair.  With p * q applying p first,
+    (phi(g) * phi(h))[x] is phi(h)[phi(g)[x]], so the point columns named
+    by x's point column, joined, give the other side.  That is d
+    translates and d joins of n columns; the first failing pair is the
+    least mismatch position over the points.
     """
     degree = max(p.degree for p in (*elements, *images))
     if degree > BYTE_POINTS:
@@ -147,7 +154,6 @@ def _homomorphism_pairs(elements: list[Permutation], images: list[Permutation]) 
         )
     columns = _cayley_columns([bytes(g.images) for g in elements])
     phi_bytes = [bytes(img.images) for img in images]
-    phi_tables = [img + _IDENTITY_TABLE[len(img):] for img in phi_bytes]
     n = len(elements)
     d = len(phi_bytes[0])
     if any(len(img) != d for img in phi_bytes):
@@ -155,18 +161,26 @@ def _homomorphism_pairs(elements: list[Permutation], images: list[Permutation]) 
         # phi(elements[0] * h) runs over every image as h does: row 0
         # fails at an image of another degree, if not before
         first = phi_bytes[0]
-        j = next(j for j, column in enumerate(columns) if phi_bytes[column[0]] != first.translate(phi_tables[j]))
+        j = next(
+            j
+            for j, column in enumerate(columns)
+            if phi_bytes[column[0]] != first.translate(phi_bytes[j] + _IDENTITY_TABLE[len(phi_bytes[j]):])
+        )
         return False, j + 1
+    joined = b"".join(columns)
+    # row k holds the index of g_k * h for every h, in the order of h
+    table = b"".join([joined[k::n] for k in range(n)])
     all_phi = b"".join(phi_bytes)
+    points = [all_phi[x::d] for x in range(d)]
     failures = []
-    for j, column in enumerate(columns):
-        lhs = b"".join(map(phi_bytes.__getitem__, column))
-        rhs = all_phi.translate(phi_tables[j])
+    for point in points:
+        lhs = table.translate(point + _IDENTITY_TABLE[n:])
+        rhs = b"".join(map(points.__getitem__, point))
         if lhs != rhs:
-            # the first failing g of this column; the first failing pair
-            # overall is the least position over the columns
-            i = next(i for i in range(0, n * d, d) if lhs[i:i + d] != rhs[i:i + d]) // d
-            failures.append(i * n + j + 1)
+            # the XOR's highest set bit lies in the first differing byte, so
+            # its length in bytes counts that byte and every byte after it
+            diff = int.from_bytes(lhs, "big") ^ int.from_bytes(rhs, "big")
+            failures.append(n * n - (diff.bit_length() + 7) // 8 + 1)
     return (False, min(failures)) if failures else (True, n * n)
 
 
@@ -191,7 +205,9 @@ def check_homomorphism(
     Every pair is checked, none inferred: the index of each g * h is read
     off the group's Cayley columns, and only the columns of a few
     generators are composed, the rest being known columns read through a
-    generator's, which holds since g * (x * s) == (g * x) * s.
+    generator's, which holds since g * (x * s) == (g * x) * s.  The pairs
+    are compared one image point at a time, all pairs at once, and the
+    first failing pair is the least failing position over the points.
 
     Products are composed on byte strings with ``bytes.translate``, which
     holds points 0..255, and the Cayley columns hold an element's index

@@ -199,9 +199,10 @@ MUTANTS = (
             SEARCH + "test_are_isomorphic_matches_two_canonical_forms[small-cubic]",
         ),
     ),
-    # the exhaustive scan, which draws each image from the neighbours of an
-    # earlier neighbour's image; building ``earlier`` from j <= i is an
-    # equivalent mutant, since a graph has no loops, so it is not listed
+    # the exhaustive scan, which places the vertices in breadth-first order
+    # and draws each image from the neighbours of an earlier neighbour's
+    # image; building ``earlier`` from rank[u] <= rank[v] is an equivalent
+    # mutant, since a graph has no loops, so it is not listed
     Mutant(
         "search.py",
         "scan draws from the earlier neighbour's neighbours, not its image's",
@@ -215,8 +216,8 @@ MUTANTS = (
     Mutant(
         "search.py",
         "scan's earlier neighbours are the later ones",
-        "if j < i)",
-        "if j > i)",
+        "if rank[u] < rank[v])",
+        "if rank[u] > rank[v])",
         (
             SEARCH + "test_brute_force_matches_permutation_oracle",
             SEARCH + "test_brute_force_matches_search_group_past_n7",
@@ -225,12 +226,32 @@ MUTANTS = (
     Mutant(
         "search.py",
         "scan wants no earlier neighbour's image",
-        "want |= 1 << images[j]",
+        "want |= 1 << images[u]",
         "want |= 0",
         (
             SEARCH + "test_brute_force_matches_permutation_oracle",
             SEARCH + "test_brute_force_matches_search_group_past_n7",
         ),
+    ),
+    Mutant(
+        "search.py",
+        "scan leaves left unsorted",
+        "sorted(found)",
+        "found",
+        (
+            SEARCH + "test_brute_force_lexicographic_order",
+            SEARCH + "test_brute_force_matches_permutation_oracle",
+            SEARCH + "test_brute_force_matches_search_group_past_n7",
+        ),
+    ),
+    # index order finds the same automorphisms and returns the same list
+    # after the sort; only the count of partial maps shows it
+    Mutant(
+        "search.py",
+        "scan in index order, not breadth-first",
+        "for v in _bfs_distances(g, root):",
+        "for v in (root,):",
+        (SEARCH + "test_counts_file_matches_a_fresh_run",),
     ),
     # graph6: both directions share the column layout and the alphabet, so
     # a fault in a shared piece needs a check against an independent one
@@ -364,7 +385,8 @@ MUTANTS = (
         "",
         (VERIFY + "test_verdict_falsified_when_the_search_order_alone_is_wrong",),
     ),
-    # the verifier's exhaustive checks, on the Cayley columns of S5
+    # the verifier's exhaustive checks, on the Cayley columns of S5 and the
+    # multiplication table made from them
     Mutant(
         "verify.py",
         "Cayley column composed in the wrong order",
@@ -374,19 +396,26 @@ MUTANTS = (
     ),
     Mutant(
         "verify.py",
+        "row table read column-major",
+        'table = b"".join([joined[k::n] for k in range(n)])',
+        "table = joined",
+        (VERIFY + "test_homomorphism_all_pairs", VERIFY + "test_checks_match_reference_true_and_corrupted_actions"),
+    ),
+    Mutant(
+        "verify.py",
         "homomorphism failure at a 0-based position",
-        "failures.append(i * n + j + 1)",
-        "failures.append(i * n + j)",
+        "(diff.bit_length() + 7) // 8 + 1)",
+        "(diff.bit_length() + 7) // 8)",
         (VERIFY + "test_checks_match_reference_true_and_corrupted_actions",),
     ),
     Mutant(
         "verify.py",
-        "failing position of the first failing column",
+        "homomorphism failure taken at the first failing point, not the least over points",
         "(False, min(failures))",
         "(False, failures[0])",
         (
-            VERIFY + "test_failing_position_is_the_least_over_columns",
-            VERIFY + "test_checks_match_reference_true_and_corrupted_actions",
+            VERIFY + "test_failing_position_is_the_least_over_points",
+            VERIFY + "test_homomorphism_pairs_match_tuple_reference_on_mutated_tables",
         ),
     ),
     Mutant(

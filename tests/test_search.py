@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from autkit import (
     graph6_decode,
     graph6_encode,
     is_automorphism,
+    is_connected,
     johnson_general,
     kneser,
     permute_graph,
@@ -690,8 +692,9 @@ def test_brute_force_matches_search_group_past_n7(petersen):
     # against the closure of the search's generators, which it does not share
     rng = random.Random(2028)
     sparse = [random_graph(rng, 9, 0.3) for _ in range(4)]
-    # a vertex past 0 with no earlier neighbour draws its image from all n
-    assert any(not row & ((1 << v) - 1) for g in sparse for v, row in enumerate(g.adj) if v)
+    # a disconnected draw: the first vertex of each component draws its
+    # image from all n
+    assert any(not is_connected(g) for g in sparse)
     graphs = [petersen, petersen_classic(), complement(petersen)]
     graphs += [random_graph(rng, 10) for _ in range(6)]
     graphs += sparse + [Graph(8, (0,) * 8)]
@@ -822,13 +825,39 @@ def test_backjump_leaf_counts(name):
     assert search._IRSearch(COUNTED_GRAPHS[name]()).run().leaves == COUNTS["search_leaves"][name]
 
 
+#: the graphs of the counts file's brute_partial_maps
+BRUTE_COUNTED_GRAPHS = {"petersen_subsets": petersen_subsets, "petersen_classic": petersen_classic}
+
+
+def brute_partial_maps(g):
+    """The partial maps that ``brute_force_automorphisms(g)`` visits, as
+    the calls of its inner ``place``, counted by a profile hook."""
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "place" and frame.f_code.co_filename == search.__file__:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        brute_force_automorphisms(g)
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
 def test_counts_file_matches_a_fresh_run(monkeypatch):
-    # every count in the file, recomputed: a change to the pruning or to
-    # when a search ends shows as the entries that moved, (file, fresh)
+    # every count in the file, recomputed: a change to the pruning, to when
+    # a search ends or to the scan's vertex order shows as the entries that
+    # moved, (file, fresh); a scan in index order returns the same list, so
+    # only its count shows it
     records = recorded_searches(monkeypatch)
     fresh = {name: search._IRSearch(g()).run().leaves for name, g in COUNTED_GRAPHS.items()}
     fresh.update((name, iso_leaves(records, name)[1]) for name in COUNTED_PAIRS)
-    pinned = {**COUNTS["search_leaves"], **COUNTS["iso_leaves"]}
+    fresh.update((name, brute_partial_maps(g())) for name, g in BRUTE_COUNTED_GRAPHS.items())
+    pinned = {**COUNTS["search_leaves"], **COUNTS["iso_leaves"], **COUNTS["brute_partial_maps"]}
     assert sorted(fresh) == sorted(pinned)
     assert {name: (pinned[name], fresh[name]) for name in pinned if fresh[name] != pinned[name]} == {}
 

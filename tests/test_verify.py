@@ -395,6 +395,28 @@ def test_failing_position_is_the_least_over_columns(corrupted):
     assert reference_verify._homomorphism_pairs(elements, images) == (False, row * n + column + 1)
 
 
+@pytest.mark.parametrize("corrupted", [2, 103])
+def test_failing_position_is_the_least_over_points(corrupted):
+    # one image followed by the transposition of points 0 and 1: the first
+    # failing pair differs at later points only, while point 0 first fails
+    # at a later pair, so the position reported is the least over all
+    # points, not the first failing point's
+    elements, images = _phi_table(list(s5_generators()), induced_action)
+    images[corrupted] = images[corrupted] * Permutation.from_cycles(10, [[1, 2]])
+    n = len(elements)
+    index = {g: k for k, g in enumerate(elements)}
+    points = {}
+    for k, g in enumerate(elements):
+        for j, h in enumerate(elements):
+            lhs, rhs = images[index[g * h]].images, (images[k] * images[j]).images
+            points[k * n + j + 1] = [x for x in range(10) if lhs[x] != rhs[x]]
+    first = min(k for k, xs in points.items() if xs)
+    first_point = min(x for xs in points.values() for x in xs)
+    assert first_point not in points[first]
+    assert _homomorphism_pairs(elements, images) == (False, first)
+    assert reference_verify._homomorphism_pairs(elements, images) == (False, first)
+
+
 def mutated_image(rng, kind, img):
     """``img`` changed by one seeded mutation of the given kind."""
     images = list(img.images)
