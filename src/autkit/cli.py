@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import math
 import sys
 from typing import Optional
 
@@ -53,15 +54,26 @@ def _emit(g: Graph, fmt: str) -> None:
 # n^2: K(18, 9) (48,620 vertices) peaks at about 195 MB in DOT, and the rows
 # of K(19, 9) (92,378 vertices) alone take about 890 MB.
 _MAX_GEN_VERTICES = 50_000
+# Neighbour tuples and DOT lines grow with the edge count, and so does the
+# time: K(2000, 1) (1,999,000 edges) takes about 4.6 s in DOT, and each
+# doubling of n takes about 5 times as long.  The cap admits J(14, 7, 3)
+# (2,102,100 edges), which takes about 3 s.
+_MAX_GEN_EDGES = 4_000_000
 
 
 def _check_size(args: argparse.Namespace) -> None:
     """Refuse a subset family before building it: past 62 vertices in
     graph6, which ``graph6_encode`` would refuse after the build, and past
-    ``_MAX_GEN_VERTICES`` in any format.  Invalid parameters are left to
-    the family's constructor and its message.  The count C(n, k) stops
-    past 10^18, within 60 steps of the product formula as C(n, i) >= 2^i
-    for i <= n / 2: math.comb(20000000, 10000000) would take minutes."""
+    ``_MAX_GEN_VERTICES`` vertices or ``_MAX_GEN_EDGES`` edges in any
+    format.  Invalid parameters are left to the family's constructor and
+    its message.  The count C(n, k) stops past 10^18, within 60 steps of
+    the product formula as C(n, i) >= 2^i for i <= n / 2:
+    math.comb(20000000, 10000000) would take minutes.
+
+    A k-subset has C(k, t) * C(n - k, k - t) neighbours meeting it in t
+    members (t = 0 for kneser), so the edges number C(n, k) times that,
+    halved.  C(n - k, k - t) comes first: it is 0 when k = n, where C(k, t)
+    could take minutes."""
     count = 0
     if 0 <= args.k <= args.n and (args.t is None or 0 <= args.t < args.k):
         count = 1
@@ -74,6 +86,12 @@ def _check_size(args: argparse.Namespace) -> None:
     if count > _MAX_GEN_VERTICES:
         size = "more than 10^18" if count > 10**18 else count
         raise ValueError(f"the graph would have {size} vertices; gen builds at most {_MAX_GEN_VERTICES}")
+    if count:
+        k, t = args.k, args.t or 0
+        outside = math.comb(args.n - k, k - t)
+        edges = count * outside * math.comb(k, t) // 2 if outside else 0
+        if edges > _MAX_GEN_EDGES:
+            raise ValueError(f"the graph would have {edges} edges; gen builds at most {_MAX_GEN_EDGES}")
 
 
 def cmd_gen(args: argparse.Namespace) -> int:

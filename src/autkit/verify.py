@@ -73,7 +73,7 @@ def induced_action(g: Permutation) -> Permutation:
 def _phi_table(gens: list[Permutation], action: Action) -> tuple[list[Permutation], list[Permutation]]:
     """Every element of the group ``gens`` generate, in ``closure`` order,
     and its image under ``action``.  A group past ``BYTE_POINTS``
-    elements raises ``CapacityError``: ``_cayley_columns`` holds an
+    elements raises ``CapacityError``: ``_cayley_rows`` holds an
     element's index in a byte."""
     elements = closure(gens, cap=BYTE_POINTS)
     return elements, [action(g) for g in elements]
@@ -84,94 +84,85 @@ def _phi_in_aut(graph: Graph, images: list[Permutation]) -> bool:
     return all(img.degree == graph.n and is_automorphism(graph, img) for img in images)
 
 
-def _cayley_columns(g_bytes: list[bytes]) -> list[bytes]:
-    """The right-multiplication columns of a group given as byte strings:
-    ``columns[j][k]`` is the index of ``g_k * g_j``, g_i being the
+def _cayley_rows(g_bytes: list[bytes]) -> list[bytes]:
+    """The multiplication table of a group given as byte strings:
+    ``rows[k][j]`` is the index of ``g_k * g_j``, g_i being the
     permutation with the images ``g_bytes[i]``.
 
-    Only the columns of a generating set are composed and looked up, the
+    Only the rows of a generating set are composed and looked up, the
     set picked greedily: each new generator is the first element whose
-    column is not known yet.  Every other column is a known one read
-    through a generator's column, as g * (x * s) == (g * x) * s: with y
-    the index of g_x * g_s, ``columns[y][k]`` is
-    ``columns[s][columns[x][k]]``, one ``bytes.translate``.  The group
-    must be whole, so that every product is one of its elements, and
-    have at most 256 elements, so that an index fits in a byte.  S5 in
-    ``closure`` order takes two columns of lookups.
+    row is not known yet.  Every other row is a known one read through a
+    generator's row, as (s * x) * g == s * (x * g): with y the index of
+    g_s * g_x, ``rows[y][j]`` is ``rows[s][rows[x][j]]``, one
+    ``bytes.translate``.  The group must be whole, so that every product
+    is one of its elements, and have at most 256 elements, so that an
+    index fits in a byte.  S5 in ``closure`` order takes two rows of
+    lookups.
     """
     n = len(g_bytes)
     index = {g: k for k, g in enumerate(g_bytes)}
-    # b"" marks a column not known yet; the identity's reads k at k
-    columns = [b""] * n
-    columns[index[_IDENTITY_TABLE[:len(g_bytes[0])]]] = bytes(range(n))
+    tables = [g + _IDENTITY_TABLE[len(g):] for g in g_bytes]
+    # b"" marks a row not known yet; the identity's reads j at j
+    rows = [b""] * n
+    rows[index[_IDENTITY_TABLE[:len(g_bytes[0])]]] = bytes(range(n))
     generators = []
     for new in range(n):
-        if columns[new]:
+        if rows[new]:
             continue
-        table = g_bytes[new] + _IDENTITY_TABLE[len(g_bytes[new]):]
-        columns[new] = column = bytes([index[g.translate(table)] for g in g_bytes])
-        generators.append((column, column + _IDENTITY_TABLE[n:]))
-        known = [x for x in range(n) if columns[x]]
+        rows[new] = row = bytes([index[g_bytes[new].translate(t)] for t in tables])
+        generators.append((row, row + _IDENTITY_TABLE[n:]))
+        known = [x for x in range(n) if rows[x]]
         for x in known:
             for s, s_table in generators:
                 y = s[x]
-                if not columns[y]:
-                    columns[y] = columns[x].translate(s_table)
+                if not rows[y]:
+                    rows[y] = rows[x].translate(s_table)
                     known.append(y)
-    return columns
+    return rows
 
 
 def _homomorphism_pairs(elements: list[Permutation], images: list[Permutation]) -> tuple[bool, int]:
     """Check phi(g * h) == phi(g) * phi(h) over every ordered pair of
-    ``elements``, where ``images[i]`` is phi(elements[i]).
-
-    Pairs run with g in the outer loop and h in the inner one, both in
-    the order of ``elements``.  The result is ``(False, k)`` for the
-    first failing pair in this order, k being its 1-based position, and
-    otherwise ``(True, len(elements) ** 2)``.  A pair whose two images
-    differ in degree fails.  ``elements`` is a whole group, so every
-    product is one of them, and the group's Cayley columns
-    (``_cayley_columns``) give the index of each g * h.
+    ``elements``, where ``images[i]`` is phi(elements[i]); the result is
+    ``check_homomorphism``'s.  ``elements`` is a whole group in
+    ``closure`` order, identity first, so every product is one of them
+    and ``_cayley_rows`` gives the index of each g * h.
 
     Permutations are held as byte strings, so a degree past
     ``BYTE_POINTS`` raises ``CapacityError`` before any pair is compared.
-    When every image has one degree d, all pairs are checked together at
-    one point x at a time, as two byte strings of one byte per pair, in
-    pair order.  The group's multiplication table, its Cayley columns
-    transposed to rows, holds the index of g * h at g's index * n + h's
-    index, n being the group's order; read through x's point column
-    (phi(elements[k])[x] for every k, as a ``bytes.translate`` table) it
-    gives phi(g * h)[x] for every pair.  With p * q applying p first,
-    (phi(g) * phi(h))[x] is phi(h)[phi(g)[x]], so the point columns named
-    by x's point column, joined, give the other side.  That is d
-    translates and d joins of n columns; the first failing pair is the
-    least mismatch position over the points.
+    Row 0 is checked pair by pair first.  With g_0 the identity, a row 0
+    that fails fails first at the first image of another degree than
+    phi(g_0), if not before, as the pair-by-pair reference does.  A row 0
+    that holds proves every image of phi(g_0)'s degree d, since g_0 * h
+    runs over the whole group as h does.
+
+    Then all pairs are checked together at one point x at a time, as two
+    byte strings of one byte per pair, in pair order.  The joined rows
+    hold the index of g * h at g's index * n + h's index, n being the
+    group's order; read through x's point column (phi(elements[k])[x] for
+    every k, as a ``bytes.translate`` table) they give phi(g * h)[x] for
+    every pair.  With p * q applying p first, (phi(g) * phi(h))[x] is
+    phi(h)[phi(g)[x]], so the point columns named by x's point column,
+    joined, give the other side.  That is d translates and d joins of n
+    columns; the first failing pair is the least mismatch position over
+    the points.
     """
     degree = max(p.degree for p in (*elements, *images))
     if degree > BYTE_POINTS:
         raise CapacityError(
             f"byte-table composition has a {BYTE_POINTS}-point limit; got a permutation of degree {degree}"
         )
-    columns = _cayley_columns([bytes(g.images) for g in elements])
+    rows = _cayley_rows([bytes(g.images) for g in elements])
     phi_bytes = [bytes(img.images) for img in images]
     n = len(elements)
-    d = len(phi_bytes[0])
-    if any(len(img) != d for img in phi_bytes):
-        # phi(elements[0]) * phi(h) has phi(elements[0])'s degree, while
-        # phi(elements[0] * h) runs over every image as h does: row 0
-        # fails at an image of another degree, if not before
-        first = phi_bytes[0]
-        j = next(
-            j
-            for j, column in enumerate(columns)
-            if phi_bytes[column[0]] != first.translate(phi_bytes[j] + _IDENTITY_TABLE[len(phi_bytes[j]):])
-        )
-        return False, j + 1
-    joined = b"".join(columns)
-    # row k holds the index of g_k * h for every h, in the order of h
-    table = b"".join([joined[k::n] for k in range(n)])
+    first = phi_bytes[0]
+    for j, phi_h in enumerate(phi_bytes):
+        if phi_bytes[rows[0][j]] != first.translate(phi_h + _IDENTITY_TABLE[len(phi_h):]):
+            return False, j + 1
+    d = len(first)
     all_phi = b"".join(phi_bytes)
     points = [all_phi[x::d] for x in range(d)]
+    table = b"".join(rows)
     failures = []
     for point in points:
         lhs = table.translate(point + _IDENTITY_TABLE[n:])
@@ -198,22 +189,12 @@ def check_homomorphism(
     """Check action(g * h) == action(g) * action(h) for every pair of the
     group the generators generate (14,400 pairs for S5).
 
-    Pairs run with g outer and h inner, in ``closure`` order; the result
-    is ``(True, pairs checked)``, or ``(False, position of the first
-    failing pair)``.  A pair whose images differ in degree fails.
-
-    Every pair is checked, none inferred: the index of each g * h is read
-    off the group's Cayley columns, and only the columns of a few
-    generators are composed, the rest being known columns read through a
-    generator's, which holds since g * (x * s) == (g * x) * s.  The pairs
-    are compared one image point at a time, all pairs at once, and the
-    first failing pair is the least failing position over the points.
-
-    Products are composed on byte strings with ``bytes.translate``, which
-    holds points 0..255, and the Cayley columns hold an element's index
-    in a byte: a group of more than 256 elements, or an element or image
-    of degree past 256, raises ``CapacityError`` before any pair is
-    compared.
+    Pairs run with g outer and h inner, in ``closure`` order, and every
+    pair is checked, none inferred.  The result is ``(True, pairs
+    checked)``, or ``(False, k)`` for the first failing pair, k being its
+    1-based position in this order.  A pair whose images differ in degree
+    fails.  A group of more than 256 elements, or an element or image of
+    degree past 256, raises ``CapacityError`` before any pair is compared.
     """
     gens = list(generators) if generators is not None else list(s5_generators())
     return _homomorphism_pairs(*_phi_table(gens, action))

@@ -33,6 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src", "autkit")
 SEARCH = "tests/test_search.py::"
 CLI = "tests/test_cli.py::"
+CFI = "tests/test_cfi.py::"
 GRAPH6 = "tests/test_graph6.py::"
 GRAPHS = "tests/test_graphs.py::"
 GUARDS = "tests/test_guards.py::"
@@ -253,6 +254,15 @@ MUTANTS = (
         "for v in (root,):",
         (SEARCH + "test_counts_file_matches_a_fresh_run",),
     ),
+    # iso returns a mapping only after checking it: a certificate collision
+    # would otherwise print a mapping that is no isomorphism
+    Mutant(
+        "search.py",
+        "iso's mapping check skipped",
+        "if permute_graph(g1, sigma).adj != g2.adj:",
+        "if False:",
+        (CFI + "test_certificate_collision_without_an_isomorphism_raises",),
+    ),
     # graph6: both directions share the column layout and the alphabet, so
     # a fault in a shared piece needs a check against an independent one
     Mutant(
@@ -278,6 +288,21 @@ MUTANTS = (
         "            column ^= low\n",
         "",
         (GRAPH6 + "test_single_edge_is_A_underscore", GRAPH6 + "test_decode_matches_the_bit_at_a_time_decoder"),
+    ),
+    # the short form's vertex-count character runs from '?' (0) to '}' (62)
+    Mutant(
+        "graphs.py",
+        "vertex-count character's lower bound one below '?'",
+        "if not 63 <= first <= 125:",
+        "if not 62 <= first <= 125:",
+        (GRAPH6 + "test_decode_names_an_invalid_vertex_count_character",),
+    ),
+    Mutant(
+        "graphs.py",
+        "vertex-count character's upper bound past '~'",
+        "if not 63 <= first <= 125:",
+        "if not 63 <= first <= 127:",
+        (GRAPH6 + "test_decode_names_an_invalid_vertex_count_character",),
     ),
     # the constructor's one walk over each row's set bits, which checks
     # symmetry and keeps the neighbour lists, and girth's search over them
@@ -327,7 +352,7 @@ MUTANTS = (
         (GRAPHS + "test_subset_graphs_match_pairwise_reference",),
     ),
     # gen's size check, which must refuse graph6 past 62 vertices before
-    # the build, whatever the count
+    # the build, whatever the count, and count a family's edges exactly
     Mutant(
         "cli.py",
         "graph6 branch of the size check dropped",
@@ -342,6 +367,36 @@ MUTANTS = (
         "if count > _MAX_GEN_VERTICES:",
         "if count > 2 * _MAX_GEN_VERTICES:",
         (CLI + "test_gen_rejects_a_family_past_the_vertex_cap_before_building_it",),
+    ),
+    Mutant(
+        "cli.py",
+        "edge cap admits no family at the cap",
+        "if edges > _MAX_GEN_EDGES:",
+        "if edges >= _MAX_GEN_EDGES:",
+        (CLI + "test_gen_edge_cap_counts_the_edges_exactly",),
+    ),
+    Mutant(
+        "cli.py",
+        "edges counted from both ends",
+        "math.comb(k, t) // 2 if outside",
+        "math.comb(k, t) if outside",
+        (CLI + "test_gen_edge_cap_counts_the_edges_exactly",),
+    ),
+    # main turns every usage and I/O error into exit 2 with a message, and
+    # a file and stdin decode alike
+    Mutant(
+        "cli.py",
+        "main catches ValueError only",
+        "except (ValueError, OSError) as exc:",
+        "except ValueError as exc:",
+        (CLI + "test_render_unwritable_path",),
+    ),
+    Mutant(
+        "cli.py",
+        "input decoded as latin-1",
+        'data.decode("ascii")',
+        'data.decode("latin-1")',
+        (CLI + "test_graph6_bytes_read_alike_from_file_and_stdin",),
     ),
     # iso reads each input once, so stdin can serve one of them only
     Mutant(
@@ -385,21 +440,31 @@ MUTANTS = (
         "",
         (VERIFY + "test_verdict_falsified_when_the_search_order_alone_is_wrong",),
     ),
-    # the verifier's exhaustive checks, on the Cayley columns of S5 and the
-    # multiplication table made from them
+    # the verifier's exhaustive checks, on the Cayley rows of S5: row 0
+    # pair by pair, then every pair one point at a time
     Mutant(
         "verify.py",
-        "Cayley column composed in the wrong order",
-        "columns[y] = columns[x].translate(s_table)",
-        "columns[y] = s.translate(columns[x] + _IDENTITY_TABLE[n:])",
-        (VERIFY + "test_cayley_columns_match_direct_products", VERIFY + "test_homomorphism_all_pairs"),
+        "Cayley row composed in the wrong order",
+        "rows[y] = rows[x].translate(s_table)",
+        "rows[y] = s.translate(rows[x] + _IDENTITY_TABLE[n:])",
+        (VERIFY + "test_cayley_rows_match_direct_products", VERIFY + "test_homomorphism_all_pairs"),
     ),
     Mutant(
         "verify.py",
-        "row table read column-major",
-        'table = b"".join([joined[k::n] for k in range(n)])',
-        "table = joined",
-        (VERIFY + "test_homomorphism_all_pairs", VERIFY + "test_checks_match_reference_true_and_corrupted_actions"),
+        "generator's Cayley row composed as g_k * g_new",
+        "index[g_bytes[new].translate(t)] for t in tables",
+        "index[g.translate(tables[new])] for g in g_bytes",
+        (VERIFY + "test_cayley_rows_match_direct_products", VERIFY + "test_homomorphism_all_pairs"),
+    ),
+    Mutant(
+        "verify.py",
+        "row-0 failure at a 0-based position",
+        "return False, j + 1",
+        "return False, j",
+        (
+            VERIFY + "test_homomorphism_pairs_match_tuple_reference_seeded_corruptions",
+            VERIFY + "test_homomorphism_pairs_match_tuple_reference_on_mutated_tables",
+        ),
     ),
     Mutant(
         "verify.py",

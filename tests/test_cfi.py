@@ -16,8 +16,8 @@ import itertools
 
 import pytest
 
-from autkit import Graph, automorphism_group, is_automorphism, petersen_subsets, schreier_sims
-from autkit import cli
+from autkit import Graph, are_isomorphic, automorphism_group, is_automorphism, petersen_subsets, schreier_sims
+from autkit import cli, search
 
 
 def cfi(h, twisted=False):
@@ -97,6 +97,16 @@ def test_cfi_twisted_copy_is_not_isomorphic(name, monkeypatch, capsys):
     h = BASES[name][0]
     graphs = {"plain": cfi(h), "twisted": cfi(h, twisted=True)}
     assert run_cli_on(monkeypatch, capsys, ["iso", "plain", "twisted"], graphs) == (1, "non-isomorphic\n")
+
+
+def test_certificate_collision_without_an_isomorphism_raises(monkeypatch):
+    # with every leaf's certificate the same, the scan of the twisted copy
+    # matches the first leaf of CFI(K4), which it cannot map onto: the
+    # mapping check, not the certificate, must refuse it
+    monkeypatch.setattr(search, "_cert_bytes", lambda nbrs, order: b"")
+    h = BASES["K4"][0]
+    with pytest.raises(RuntimeError, match="^certificate collision without an isomorphism; this is a bug$"):
+        are_isomorphic(cfi(h), cfi(h, twisted=True))
 
 
 # Pinned from the search before the BSGS became incremental.

@@ -138,6 +138,50 @@ def test_gen_rejects_a_family_past_the_vertex_cap_before_building_it(monkeypatch
     assert run_in_process(["gen", "kneser", "-n", "18", "-k", "9", "--format", "dot"])[0] == 0
 
 
+def test_gen_rejects_a_family_past_the_edge_cap_before_building_it(monkeypatch):
+    # K(50000, 1) is the complete graph K_50000: within the vertex cap, but
+    # its edges would take hours and about 20 GB
+    for name in ("kneser", "johnson_general"):
+        monkeypatch.setattr(autkit.cli, name, lambda *args: pytest.fail("the family was built"))
+    assert run_in_process(["gen", "kneser", "-n", "50000", "-k", "1", "--format", "dot"]) == (
+        2,
+        "",
+        "error: the graph would have 1249975000 edges; gen builds at most 4000000\n",
+    )
+    # J(14, 7, 3), 2,102,100 edges, is within the cap and reaches its constructor
+    built = []
+    monkeypatch.setattr(autkit.cli, "johnson_general", lambda *args: built.append(args) or Graph(1, (0,)))
+    assert run_in_process(["gen", "johnson", "-n", "14", "-k", "7", "-t", "3", "--format", "dot"])[0] == 0
+    assert built == [(14, 7, 3)]
+
+
+@pytest.mark.parametrize(
+    "family, n, k, t",
+    [
+        # edgeless: K(9, 0) has one vertex, K(6, 4) no disjoint pair, and
+        # J(6, 6, 5) one vertex
+        ("kneser", 9, 0, None),
+        ("kneser", 6, 4, None),
+        ("johnson", 6, 6, 5),
+        ("kneser", 7, 3, None),
+        ("kneser", 12, 1, None),
+        ("johnson", 7, 3, 1),
+        ("johnson", 8, 4, 2),
+        ("johnson", 9, 5, 0),
+    ],
+)
+def test_gen_edge_cap_counts_the_edges_exactly(monkeypatch, family, n, k, t):
+    # with the cap one below the family's edge count gen refuses it and
+    # names the count; with the cap at the count it builds the family
+    g = kneser(n, k) if t is None else johnson_general(n, k, t)
+    m = edge_count(g)
+    args = ["gen", family, "-n", str(n), "-k", str(k)] + ([] if t is None else ["-t", str(t)]) + ["--format", "dot"]
+    monkeypatch.setattr(autkit.cli, "_MAX_GEN_EDGES", m - 1)
+    assert run_in_process(args) == (2, "", f"error: the graph would have {m} edges; gen builds at most {m - 1}\n")
+    monkeypatch.setattr(autkit.cli, "_MAX_GEN_EDGES", m)
+    assert run_in_process(args)[0] == 0
+
+
 @pytest.mark.parametrize(
     "argv",
     [

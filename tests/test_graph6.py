@@ -87,6 +87,17 @@ def decoded(decode, text):
         return str(exc)
 
 
+@pytest.mark.parametrize("first", ["!", ">", "\x7f"], ids=["far-below", "just-below", "just-above"])
+def test_decode_names_an_invalid_vertex_count_character(first):
+    # '>' and '\x7f' lie just outside the short form's '?'..'}' (0 to 62
+    # vertices, '~' opening the long form): the message names the
+    # character, alone or followed by data, as the independent decoder's
+    want = f"invalid vertex-count character {first!r}"
+    for text in (first, first + "?", first + "A_"):
+        assert decoded(reference_graphs.graph6_decode, text) == want
+        assert decoded(graph6_decode, text) == want
+
+
 def corruptions(text, rng):
     """``text`` with each nonempty set of three faults: up to two data
     characters out of range, a padding bit set, and one data character

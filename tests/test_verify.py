@@ -17,7 +17,7 @@ from autkit import (
     petersen_subsets,
 )
 from autkit.verify import (
-    _cayley_columns,
+    _cayley_rows,
     _homomorphism_pairs,
     _phi_table,
     check_homomorphism,
@@ -317,7 +317,7 @@ def test_homomorphism_pairs_match_tuple_reference_seeded_corruptions():
 
 
 def greedy_picks(group):
-    """The indices whose columns ``_cayley_columns`` composes: each is the
+    """The indices whose rows ``_cayley_rows`` composes: each is the
     first element outside the subgroup the earlier picks generate."""
     picks = []
     reached = {group[0]}
@@ -347,20 +347,20 @@ def cayley_cases():
     return [closure(gens, cap=120) for gens in generator_sets]
 
 
-def test_cayley_columns_match_direct_products():
-    # every column against the products it stands for, index[g_k * g_j]
+def test_cayley_rows_match_direct_products():
+    # every row against the products it stands for, index[g_k * g_j]
     picks = []
     for group in cayley_cases():
         index = {g: k for k, g in enumerate(group)}
-        columns = _cayley_columns([bytes(g.images) for g in group])
-        assert all(type(column) is bytes for column in columns)
-        assert [list(column) for column in columns] == [[index[g * h] for g in group] for h in group]
+        rows = _cayley_rows([bytes(g.images) for g in group])
+        assert all(type(row) is bytes for row in rows)
+        assert [list(row) for row in rows] == [[index[g * h] for h in group] for g in group]
         picks.append(greedy_picks(group))
     # S5 in closure order is generated by (1 2) and (1 2 3 4 5), its first
-    # two elements past the identity: two columns of lookups
+    # two elements past the identity: two rows of lookups
     assert picks[0] == picks[1] == [1, 2]
-    # the trivial group needs no column, a cyclic one a single column, and
-    # the greedy pick needs two or three columns for some of the others
+    # the trivial group needs no row, a cyclic one a single row, and the
+    # greedy pick needs two or three rows for some of the others
     assert {len(p) for p in picks} == {0, 1, 2, 3}
 
 
@@ -478,7 +478,7 @@ def test_homomorphism_past_256_points_raises_capacity_error():
 
 
 def test_homomorphism_holds_on_a_group_of_240_elements():
-    # S5 x C2 on 7 points: a Cayley column holds an element's index in a
+    # S5 x C2 on 7 points: a Cayley row holds an element's index in a
     # byte, so a group of up to 256 elements is checked in full
     swap = Permutation.from_cycles(7, [[6, 7]])
     gens = [Permutation(g.images + (5, 6)) for g in s5_generators()] + [swap]
