@@ -64,16 +64,17 @@ _MAX_GEN_EDGES = 4_000_000
 def _check_size(args: argparse.Namespace) -> None:
     """Refuse a subset family before building it: past 62 vertices in
     graph6, which ``graph6_encode`` would refuse after the build, and past
-    ``_MAX_GEN_VERTICES`` vertices or ``_MAX_GEN_EDGES`` edges in any
-    format.  Invalid parameters are left to the family's constructor and
-    its message.  The count C(n, k) stops past 10^18, within 60 steps of
-    the product formula as C(n, i) >= 2^i for i <= n / 2:
-    math.comb(20000000, 10000000) would take minutes.
+    ``_MAX_GEN_VERTICES`` vertices, ``_MAX_GEN_EDGES`` edges or an n of
+    ``_MAX_GEN_VERTICES`` in any format.  Invalid parameters are left to
+    the family's constructor and its message.  The count C(n, k) stops
+    past 10^18, within 60 steps of the product formula as C(n, i) >= 2^i
+    for i <= n / 2: math.comb(20000000, 10000000) would take minutes.
 
     A k-subset has C(k, t) * C(n - k, k - t) neighbours meeting it in t
     members (t = 0 for kneser), so the edges number C(n, k) times that,
     halved.  C(n - k, k - t) comes first: it is 0 when k = n, where C(k, t)
-    could take minutes."""
+    could take minutes.  The build's memory grows with n^2, and only k = 0
+    and k = n give fewer than n vertices, so n is bounded after the rest."""
     count = 0
     if 0 <= args.k <= args.n and (args.t is None or 0 <= args.t < args.k):
         count = 1
@@ -92,6 +93,8 @@ def _check_size(args: argparse.Namespace) -> None:
         edges = count * outside * math.comb(k, t) // 2 if outside else 0
         if edges > _MAX_GEN_EDGES:
             raise ValueError(f"the graph would have {edges} edges; gen builds at most {_MAX_GEN_EDGES}")
+        if args.n > _MAX_GEN_VERTICES:
+            raise ValueError(f"the ground set would have {args.n} points; gen builds at most {_MAX_GEN_VERTICES}")
 
 
 def cmd_gen(args: argparse.Namespace) -> int:

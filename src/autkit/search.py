@@ -15,7 +15,6 @@ from .perms import CapacityError, Permutation, _trusted
 __all__ = [
     "CanonicalForm",
     "refine",
-    "automorphism_group",
     "automorphisms",
     "canonical_form",
     "are_isomorphic",
@@ -482,11 +481,6 @@ def automorphisms(g: Graph) -> tuple[tuple[Permutation, ...], int]:
     path = search.first_prefix
     order = math.prod(len(search._close_orbits({v}, path[:d])) for d, v in enumerate(path))
     return tuple(search.gens) or (Permutation.identity(g.n),), order
-
-
-def automorphism_group(g: Graph) -> tuple[Permutation, ...]:
-    """The generating set of ``automorphisms(g)``."""
-    return automorphisms(g)[0]
 
 
 def canonical_form(g: Graph) -> CanonicalForm:

@@ -382,6 +382,35 @@ MUTANTS = (
         "math.comb(k, t) if outside",
         (CLI + "test_gen_edge_cap_counts_the_edges_exactly",),
     ),
+    Mutant(
+        "cli.py",
+        "ground-set bound dropped",
+        "if args.n > _MAX_GEN_VERTICES:",
+        "if False:",
+        (CLI + "test_gen_refuses_a_one_vertex_family_past_the_ground_set_bound",),
+    ),
+    Mutant(
+        "cli.py",
+        "ground-set bound admits no n at the bound",
+        "if args.n > _MAX_GEN_VERTICES:",
+        "if args.n >= _MAX_GEN_VERTICES:",
+        (CLI + "test_gen_refuses_a_one_vertex_family_past_the_ground_set_bound",),
+    ),
+    # exit 1 for a negative mathematical result
+    Mutant(
+        "cli.py",
+        "iso exits 0 on a non-isomorphic pair",
+        '        print("non-isomorphic")\n        return 1\n',
+        '        print("non-isomorphic")\n        return 0\n',
+        (CLI + "test_iso_non_isomorphic",),
+    ),
+    Mutant(
+        "cli.py",
+        "verify-petersen exits 0 on FALSIFIED",
+        'return 0 if report.verdict == "VERIFIED" else 1',
+        'return 0 if report.verdict == "VERIFIED" else 0',
+        (CLI + "test_verify_petersen_falsified_exits_1",),
+    ),
     # main turns every usage and I/O error into exit 2 with a message, and
     # a file and stdin decode alike
     Mutant(
@@ -432,6 +461,27 @@ MUTANTS = (
         "        all_automorphisms\n        and hom_ok\n",
         "        hom_ok\n",
         (VERIFY + "test_verdict_falsified_when_phi_alone_leaves_aut",),
+    ),
+    # phi(S5) in Aut from the two generators' images, both of which count
+    Mutant(
+        "verify.py",
+        "φ in Aut checked on (1 2)'s image only",
+        "_phi_in_aut(g, [phi[s], phi[t]])",
+        "_phi_in_aut(g, [phi[s]])",
+        (
+            VERIFY + "test_verdict_falsified_when_one_generator_image_leaves_aut",
+            VERIFY + "test_verdict_matches_the_rule_that_checks_all_120_images",
+        ),
+    ),
+    Mutant(
+        "verify.py",
+        "φ in Aut checked on (1 2 3 4 5)'s image only",
+        "_phi_in_aut(g, [phi[s], phi[t]])",
+        "_phi_in_aut(g, [phi[t]])",
+        (
+            VERIFY + "test_verdict_falsified_when_one_generator_image_leaves_aut",
+            VERIFY + "test_verdict_matches_the_rule_that_checks_all_120_images",
+        ),
     ),
     Mutant(
         "verify.py",

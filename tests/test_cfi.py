@@ -16,7 +16,7 @@ import itertools
 
 import pytest
 
-from autkit import Graph, are_isomorphic, automorphism_group, is_automorphism, petersen_subsets, schreier_sims
+from autkit import Graph, are_isomorphic, automorphisms, is_automorphism, petersen_subsets, schreier_sims
 from autkit import cli, search
 
 
@@ -87,7 +87,7 @@ def test_cfi_order_from_aut_command(name, monkeypatch, capsys):
 @pytest.mark.parametrize("name", sorted(BASES))
 def test_cfi_order_from_search_group(name):
     g = cfi(BASES[name][0])
-    gens = automorphism_group(g)
+    gens = automorphisms(g)[0]
     assert all(is_automorphism(g, gen) for gen in gens)
     assert schreier_sims(gens).order() == expected_order(name)
 

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import math
@@ -24,6 +25,7 @@ from autkit import (
 
 import reference_graphs
 from autkit.cli import build_parser, main
+from autkit.verify import verify_petersen
 from conftest import run_cli
 from test_search import CUBIC_36, hoffman_singleton
 
@@ -153,6 +155,26 @@ def test_gen_rejects_a_family_past_the_edge_cap_before_building_it(monkeypatch):
     monkeypatch.setattr(autkit.cli, "johnson_general", lambda *args: built.append(args) or Graph(1, (0,)))
     assert run_in_process(["gen", "johnson", "-n", "14", "-k", "7", "-t", "3", "--format", "dot"])[0] == 0
     assert built == [(14, 7, 3)]
+
+
+def test_gen_refuses_a_one_vertex_family_past_the_ground_set_bound(monkeypatch):
+    # k = 0 and k = n give one vertex and no edge, so the counts pass, but
+    # the build's memory grows with n^2: K(10^9, 10^9) was killed for it
+    for name in ("kneser", "johnson_general"):
+        monkeypatch.setattr(autkit.cli, name, lambda *args: pytest.fail("the family was built"))
+    for n in (50001, 1000000000):
+        for family in (["kneser", "-k", "0"], ["kneser", "-k", str(n)], ["johnson", "-k", str(n), "-t", "3"]):
+            for fmt in ([], ["--format", "dot"]):
+                assert run_in_process(["gen", family[0], "-n", str(n), *family[1:], *fmt]) == (
+                    2,
+                    "",
+                    f"error: the ground set would have {n} points; gen builds at most 50000\n",
+                )
+    # an n at the bound reaches the constructor
+    built = []
+    monkeypatch.setattr(autkit.cli, "kneser", lambda *args: built.append(args) or Graph(1, (0,)))
+    assert run_in_process(["gen", "kneser", "-n", "50000", "-k", "50000", "--format", "dot"])[0] == 0
+    assert built == [(50000, 50000)]
 
 
 @pytest.mark.parametrize(
@@ -408,6 +430,14 @@ def test_verify_petersen_summary_and_exit_code(tmp_path):
     ]
     assert data["verdict"] == "VERIFIED"
     assert data["aut_order_brute"] is None
+
+
+def test_verify_petersen_falsified_exits_1(monkeypatch):
+    # the classic labelling is Petersen, but phi's images are not its
+    # automorphisms
+    monkeypatch.setattr(autkit.cli, "verify_petersen", functools.partial(verify_petersen, graph=petersen_classic()))
+    code, out, err = run_in_process(["verify-petersen"])
+    assert (code, out.splitlines()[-1], err) == (1, "FALSIFIED", "")
 
 
 def test_verify_petersen_prints_nothing_when_the_report_cannot_be_written(tmp_path):

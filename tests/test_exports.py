@@ -49,7 +49,6 @@ def test_public_names_are_pinned():
         # search
         "CanonicalForm",
         "refine",
-        "automorphism_group",
         "automorphisms",
         "canonical_form",
         "are_isomorphic",

@@ -8,7 +8,7 @@ from autkit import (
     KSubset,
     Permutation,
     are_isomorphic,
-    automorphism_group,
+    automorphisms,
     brute_force_automorphisms,
     canonical_form,
     closure,
@@ -25,7 +25,7 @@ C3 = schreier_sims([Permutation.from_cycles(3, [[1, 2, 3]])])
 NO_VERTEX = (ValueError, "graph must have at least one vertex")
 
 CASES = {
-    "automorphism_group-empty": (lambda: automorphism_group(EMPTY), NO_VERTEX),
+    "automorphisms-empty": (lambda: automorphisms(EMPTY), NO_VERTEX),
     "canonical_form-empty": (lambda: canonical_form(EMPTY), NO_VERTEX),
     "are_isomorphic-empty": (lambda: are_isomorphic(EMPTY, EMPTY), NO_VERTEX),
     "brute_force-empty": (lambda: brute_force_automorphisms(EMPTY), NO_VERTEX),

@@ -13,6 +13,7 @@ from autkit import (
     closure,
     is_automorphism,
     kneser,
+    permute_graph,
     petersen_classic,
     petersen_subsets,
 )
@@ -237,12 +238,13 @@ def test_checks_match_reference_true_and_corrupted_actions():
     assert check_homomorphism(action=corrupt_transposition_image) == (False, 123)
 
 
-def test_checks_match_reference_seeded_corruptions():
-    rng = random.Random(4)
+def seeded_corruptions(rng, count):
+    """``count`` actions, each the induced action with one element's image
+    replaced: two of its points swapped, another image of the group, the
+    degree-10 identity, or an identity of another degree."""
     group = s5_elements()
     true_images = [induced_action(g) for g in group]
-    failed = passed = 0
-    for case in range(200):
+    for case in range(count):
         kind = ("swap", "replace", "replace", "kernel", "degree")[case % 5]
         idx = rng.randrange(len(group))
         target, img = group[idx], true_images[idx]
@@ -263,6 +265,14 @@ def test_checks_match_reference_seeded_corruptions():
         def action(p, corrupted=corrupted):
             return corrupted.get(p) or induced_action(p)
 
+        yield action
+
+
+def test_checks_match_reference_seeded_corruptions():
+    rng = random.Random(4)
+    group = s5_elements()
+    failed = passed = 0
+    for action in seeded_corruptions(rng, 200):
         generators = None if rng.random() < 0.25 else rng.sample(group, rng.randint(1, 3))
         ok, _ = assert_matches_reference(generators, action)
         assert check_kernel_trivial(action) == reference_verify.check_kernel_trivial(action)
@@ -645,6 +655,47 @@ def test_verdict_falsified_when_phi_alone_leaves_aut():
     assert (report.homomorphism_checked, report.kernel_trivial) == (14400, True)
     assert (report.image_order, report.aut_order_search, report.aut_order_brute) == (120, 120, 120)
     assert report.verdict == "FALSIFIED"
+
+
+#: relabellings of the subset model, each with whether phi((1 2)) and
+#: phi((1 2 3 4 5)) are automorphisms of the relabelled graph
+ONE_GENERATOR_IN_AUT = {
+    "(1 2) only": ([6, 7, 0, 8, 9, 1, 2, 3, 4, 5], (True, False)),
+    "(1 2 3 4 5) only": ([0, 8, 3, 4, 5, 6, 9, 7, 2, 1], (False, True)),
+}
+
+
+@pytest.mark.parametrize("sigma, in_aut", ONE_GENERATOR_IN_AUT.values(), ids=ONE_GENERATOR_IN_AUT)
+def test_verdict_falsified_when_one_generator_image_leaves_aut(sigma, in_aut):
+    # every order and the homomorphism hold, and one generator's image is an
+    # automorphism: a verdict that checked the other one alone would pass
+    g = permute_graph(petersen_subsets(), Permutation(sigma))
+    assert tuple(is_automorphism(g, induced_action(x)) for x in s5_generators()) == in_aut
+    report = verify_petersen(run_brute=True, graph=g)
+    assert (report.homomorphism_checked, report.kernel_trivial) == (14400, True)
+    assert (report.image_order, report.aut_order_search, report.aut_order_brute) == (120, 120, 120)
+    assert report.verdict == "FALSIFIED"
+
+
+def test_verdict_matches_the_rule_that_checks_all_120_images(petersen):
+    # the report checks phi in Aut on the two generators' images; the verdict
+    # recomputed here with every image checked must agree on each probe
+    probes = [(petersen, action) for action in seeded_corruptions(random.Random("all images"), 200)]
+    relabelled = [permute_graph(petersen, Permutation(sigma)) for sigma, _ in ONE_GENERATOR_IN_AUT.values()]
+    probes += [(g, induced_action) for g in (petersen, petersen_classic(), delete_edge(petersen, 0, 5), *relabelled)]
+    outcomes = []
+    for g, action in probes:
+        report = verify_petersen(graph=g, action=action)
+        in_aut = all(img.degree == g.n and is_automorphism(g, img) for img in map(action, s5_elements()))
+        hom_ok = check_homomorphism(action=action)[0]
+        verified = in_aut and hom_ok and report.kernel_trivial and report.image_order == report.aut_order_search == 120
+        assert report.verdict == ("VERIFIED" if verified else "FALSIFIED")
+        outcomes.append((in_aut, hom_ok))
+    # every image in Aut with the homomorphism broken, and the reverse,
+    # occur, so neither term decides the comparison alone
+    assert outcomes.count((True, False)) > 20
+    assert outcomes.count((False, True)) >= 3
+    assert (True, True) in outcomes
 
 
 def test_verdict_falsified_when_the_search_order_alone_is_wrong():
