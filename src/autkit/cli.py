@@ -16,6 +16,8 @@ from typing import Optional
 
 from .graphs import (
     Graph,
+    _GRAPH6_MAX_VERTICES,
+    _GRAPH6_TOO_LARGE,
     _dot_lines,
     graph6_decode,
     graph6_encode,
@@ -82,8 +84,8 @@ def _check_size(args: argparse.Namespace) -> None:
             count = count * (args.n - i) // (i + 1)
             if count > 10**18:
                 break
-    if args.format == "graph6" and count > 62:
-        raise ValueError("graph6 short form supports at most 62 vertices")
+    if args.format == "graph6" and count > _GRAPH6_MAX_VERTICES:
+        raise ValueError(_GRAPH6_TOO_LARGE)
     if count > _MAX_GEN_VERTICES:
         size = "more than 10^18" if count > 10**18 else count
         raise ValueError(f"the graph would have {size} vertices; gen builds at most {_MAX_GEN_VERTICES}")

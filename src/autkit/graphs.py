@@ -13,7 +13,6 @@ from .perms import Permutation
 
 __all__ = [
     "Graph",
-    "KSubset",
     "Graph6Error",
     "subsets",
     "johnson_general",
@@ -36,26 +35,6 @@ __all__ = [
 
 class Graph6Error(ValueError):
     """Malformed graph6 text."""
-
-
-@dataclass(frozen=True)
-class KSubset:
-    """A k-element subset of the 1-based ground set {1..n}."""
-
-    ground: int
-    members: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "members", tuple(self.members))
-        if self.ground < 1:
-            raise ValueError("ground set size must be positive")
-        if any(not 1 <= m <= self.ground for m in self.members):
-            raise ValueError(f"members {self.members!r} not within 1..{self.ground}")
-        if any(a >= b for a, b in zip(self.members, self.members[1:])):
-            raise ValueError(f"members must be strictly increasing: {self.members!r}")
-
-    def label(self) -> str:
-        return "{" + ",".join(str(m) for m in self.members) + "}"
 
 
 @dataclass(frozen=True)
@@ -124,9 +103,6 @@ class Graph:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         return cls(n, tuple(adj), tuple(labels) if labels is not None else None)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.adj[u] >> v) & 1)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._neighbors[v]
@@ -226,11 +202,14 @@ def is_automorphism(g: Graph, sigma: Permutation) -> bool:
     return _relabeled_adj(g, sigma) == g.adj
 
 
-def subsets(n: int, k: int) -> list[KSubset]:
-    """All k-subsets of {1..n} in lexicographic order; index = vertex id."""
+def subsets(n: int, k: int) -> list[tuple[int, ...]]:
+    """All k-subsets of {1..n} in lexicographic order, each the tuple of
+    its members in increasing order; index = vertex id."""
     if k < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    return [KSubset(n, combo) for combo in itertools.combinations(range(1, n + 1), k)]
+    if n < 1:
+        raise ValueError("ground set size must be positive")
+    return list(itertools.combinations(range(1, n + 1), k))
 
 
 def _subset_graph(n: int, k: int, wanted_intersection: int) -> Graph:
@@ -240,7 +219,7 @@ def _subset_graph(n: int, k: int, wanted_intersection: int) -> Graph:
     complement, looked up by bitmask."""
     verts = subsets(n, k)
     bits = [1 << m for m in range(n + 1)]
-    masks = [sum(bits[m] for m in s.members) for s in verts]
+    masks = [sum(bits[m] for m in s) for s in verts]
     index = {mask: v for v, mask in enumerate(masks)}
     adj = []
     for s, mask in zip(verts, masks):
@@ -249,12 +228,12 @@ def _subset_graph(n: int, k: int, wanted_intersection: int) -> Graph:
         if wanted_intersection < k:
             rest = [bit for bit in bits[1:] if not mask & bit]
             added = [sum(c) for c in itertools.combinations(rest, k - wanted_intersection)]
-            for kept in itertools.combinations([bits[m] for m in s.members], wanted_intersection):
+            for kept in itertools.combinations([bits[m] for m in s], wanted_intersection):
                 kept_mask = sum(kept)
                 for extra in added:
                     row |= 1 << index[kept_mask | extra]
         adj.append(row)
-    return Graph(len(verts), tuple(adj), tuple(s.label() for s in verts))
+    return Graph(len(verts), tuple(adj), tuple("{" + ",".join(map(str, s)) + "}" for s in verts))
 
 
 def johnson_general(n: int, k: int, t: int) -> Graph:
@@ -288,13 +267,16 @@ def petersen_classic() -> Graph:
 #: and the character of each six bits
 _GRAPH6_BITS = {chr(63 + val): f"{val:06b}" for val in range(64)}
 _GRAPH6_CHARS = {bits: ch for ch, bits in _GRAPH6_BITS.items()}
+#: the short form's largest vertex count, and the refusal of a larger one
+_GRAPH6_MAX_VERTICES = 62
+_GRAPH6_TOO_LARGE = f"graph6 short form supports at most {_GRAPH6_MAX_VERTICES} vertices"
 
 
 def graph6_encode(g: Graph) -> str:
     """Standard graph6 (short form, n <= 62), in the decoder's layout:
     column j is the low j bits of row j, reversed to read (0, j) first."""
-    if g.n > 62:
-        raise ValueError("graph6 short form supports at most 62 vertices")
+    if g.n > _GRAPH6_MAX_VERTICES:
+        raise ValueError(_GRAPH6_TOO_LARGE)
     bits = "".join([f"{g.adj[j] & ((1 << j) - 1):0{j}b}"[::-1] for j in range(1, g.n)])
     bits += "0" * (-len(bits) % 6)
     return chr(g.n + 63) + "".join([_GRAPH6_CHARS[bits[i:i + 6]] for i in range(0, len(bits), 6)])
@@ -312,8 +294,8 @@ def graph6_decode(text: str) -> Graph:
         raise Graph6Error(f"expected one graph6 line, got {lines}; give one graph per input")
     first = ord(s[0])
     if first == 126:
-        raise Graph6Error("long-form graph6 (n > 62) is not supported")
-    if not 63 <= first <= 125:
+        raise Graph6Error(f"long-form graph6 (n > {_GRAPH6_MAX_VERTICES}) is not supported")
+    if not 63 <= first <= 63 + _GRAPH6_MAX_VERTICES:
         raise Graph6Error(f"invalid vertex-count character {s[0]!r}")
     n = first - 63
     nbits = n * (n - 1) // 2

@@ -293,16 +293,29 @@ MUTANTS = (
     Mutant(
         "graphs.py",
         "vertex-count character's lower bound one below '?'",
-        "if not 63 <= first <= 125:",
-        "if not 62 <= first <= 125:",
+        "if not 63 <= first <=",
+        "if not 62 <= first <=",
         (GRAPH6 + "test_decode_names_an_invalid_vertex_count_character",),
     ),
     Mutant(
         "graphs.py",
         "vertex-count character's upper bound past '~'",
-        "if not 63 <= first <= 125:",
-        "if not 63 <= first <= 127:",
+        "first <= 63 + _GRAPH6_MAX_VERTICES:",
+        "first <= 65 + _GRAPH6_MAX_VERTICES:",
         (GRAPH6 + "test_decode_names_an_invalid_vertex_count_character",),
+    ),
+    # the short form's limit, stated once for the encoder, the decoder and
+    # gen's size check
+    Mutant(
+        "graphs.py",
+        "graph6 limit one past 62",
+        "_GRAPH6_MAX_VERTICES = 62",
+        "_GRAPH6_MAX_VERTICES = 63",
+        (
+            GRAPH6 + "test_encode_rejects_large_graphs",
+            CLI + "test_gen_rejects_a_family_past_graph6_before_building_it",
+            CLI + "test_gen_rejects_a_huge_family_without_counting_it_exactly",
+        ),
     ),
     # the constructor's one walk over each row's set bits, which checks
     # symmetry and keeps the neighbour lists, and girth's search over them
@@ -351,13 +364,30 @@ MUTANTS = (
         "if True:",
         (GRAPHS + "test_subset_graphs_match_pairwise_reference",),
     ),
+    # a k-subset is the tuple of its members: the empty ground set is the
+    # one input past the k check that subsets refuses, and the label is
+    # the set's members joined by commas
+    Mutant(
+        "graphs.py",
+        "empty ground set admitted",
+        "if n < 1:",
+        "if n < 0:",
+        (GUARDS + "test_guard_or_result[subsets-ground-0]", GUARDS + "test_guard_or_result[kneser-ground-0]"),
+    ),
+    Mutant(
+        "graphs.py",
+        "label members joined by a comma and a space",
+        '",".join(map(str, s))',
+        '", ".join(map(str, s))',
+        (CLI + "test_gen_johnson_dot_golden",),
+    ),
     # gen's size check, which must refuse graph6 past 62 vertices before
     # the build, whatever the count, and count a family's edges exactly
     Mutant(
         "cli.py",
         "graph6 branch of the size check dropped",
-        '    if args.format == "graph6" and count > 62:\n'
-        '        raise ValueError("graph6 short form supports at most 62 vertices")\n',
+        '    if args.format == "graph6" and count > _GRAPH6_MAX_VERTICES:\n'
+        "        raise ValueError(_GRAPH6_TOO_LARGE)\n",
         "",
         (CLI + "test_gen_rejects_a_huge_family_without_counting_it_exactly",),
     ),

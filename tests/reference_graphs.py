@@ -9,10 +9,11 @@ All visit every pair of vertices, so keep their inputs small."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Mapping, Optional
 
-from autkit import Graph, Graph6Error, subsets
+from autkit import Graph, Graph6Error
 
 
 def asymmetric_pair(adj: tuple[int, ...]) -> Optional[tuple[int, int]]:
@@ -55,15 +56,15 @@ def girth(g: Graph) -> Optional[int]:
 def subset_graph(n: int, k: int, wanted_intersection: int) -> Graph:
     """k-subsets of {1..n}, adjacent iff they share exactly
     ``wanted_intersection`` members, by intersecting every pair."""
-    verts = subsets(n, k)
-    sets = [frozenset(s.members) for s in verts]
+    verts = list(itertools.combinations(range(1, n + 1), k))
+    sets = [frozenset(s) for s in verts]
     edges = [
         (i, j)
         for i in range(len(verts))
         for j in range(i + 1, len(verts))
         if len(sets[i] & sets[j]) == wanted_intersection
     ]
-    return Graph.from_edges(len(verts), edges, labels=[s.label() for s in verts])
+    return Graph.from_edges(len(verts), edges, labels=["{%s}" % ",".join(str(m) for m in s) for s in verts])
 
 
 def graph6_decode(text: str) -> Graph:

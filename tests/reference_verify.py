@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Optional
 from autkit import Permutation, closure, subsets
 from autkit.verify import S5_ORDER, Action, s5_generators
 
-_SUBSETS = tuple(s.members for s in subsets(5, 3))
+_SUBSETS = tuple(subsets(5, 3))
 _SUBSET_INDEX = {members: idx for idx, members in enumerate(_SUBSETS)}
 
 

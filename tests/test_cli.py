@@ -9,6 +9,11 @@ import sys
 
 import pytest
 
+try:
+    import resource
+except ImportError:  # POSIX only
+    resource = None
+
 import autkit.cli
 from autkit import (
     Graph,
@@ -175,6 +180,44 @@ def test_gen_refuses_a_one_vertex_family_past_the_ground_set_bound(monkeypatch):
     monkeypatch.setattr(autkit.cli, "kneser", lambda *args: built.append(args) or Graph(1, (0,)))
     assert run_in_process(["gen", "kneser", "-n", "50000", "-k", "50000", "--format", "dot"])[0] == 0
     assert built == [(50000, 50000)]
+
+
+#: gen in a child interpreter that first lowers its own address-space limit
+#: to 512 MiB, or keeps a lower one: it never raises a limit
+LIMITED_MAIN = """\
+import resource, sys
+cap = 512 << 20
+limits = resource.getrlimit(resource.RLIMIT_AS)
+resource.setrlimit(resource.RLIMIT_AS, tuple(cap if x == resource.RLIM_INFINITY else min(x, cap) for x in limits))
+from autkit.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+#: inputs that gen refuses, each with its message; built first, each would
+#: run out of memory or time
+REFUSED_GEN = {
+    "johnson-past-the-vertex-cap": (
+        ["johnson", "-n", "20000000", "-k", "10000000", "-t", "0"],
+        "the graph would have more than 10^18 vertices; gen builds at most 50000",
+    ),
+    "kneser-past-the-edge-cap": (
+        ["kneser", "-n", "50000", "-k", "1"],
+        "the graph would have 1249975000 edges; gen builds at most 4000000",
+    ),
+    "kneser-past-the-ground-set-bound": (
+        ["kneser", "-n", "1000000000", "-k", "1000000000"],
+        "the ground set would have 1000000000 points; gen builds at most 50000",
+    ),
+    "kneser-empty-ground-set": (["kneser", "-n", "0", "-k", "0"], "ground set size must be positive"),
+}
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+@pytest.mark.parametrize("args, message", REFUSED_GEN.values(), ids=list(REFUSED_GEN))
+def test_gen_refuses_within_a_memory_limit(args, message):
+    argv = [sys.executable, "-c", LIMITED_MAIN, "gen", *args, "--format", "dot"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,6 @@ def test_public_names_are_pinned():
     assert set(autkit.__all__) == {
         # graphs
         "Graph",
-        "KSubset",
         "Graph6Error",
         "subsets",
         "johnson_general",

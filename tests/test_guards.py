@@ -5,7 +5,6 @@ import pytest
 
 from autkit import (
     Graph,
-    KSubset,
     Permutation,
     are_isomorphic,
     automorphisms,
@@ -14,15 +13,18 @@ from autkit import (
     closure,
     diameter,
     is_connected,
+    kneser,
     petersen_subsets,
     refine,
     schreier_sims,
+    subsets,
 )
 
 EMPTY = Graph(0, ())
 SWAP = Permutation.from_cycles(3, [[1, 2]])
 C3 = schreier_sims([Permutation.from_cycles(3, [[1, 2, 3]])])
 NO_VERTEX = (ValueError, "graph must have at least one vertex")
+NO_GROUND = (ValueError, "ground set size must be positive")
 
 CASES = {
     "automorphisms-empty": (lambda: automorphisms(EMPTY), NO_VERTEX),
@@ -33,7 +35,8 @@ CASES = {
         lambda: refine(Graph(2, (0, 0)), ((0, -1),)),
         (ValueError, "cells are not a partition of range(2) into nonempty cells"),
     ),
-    "ksubset-ground-0": (lambda: KSubset(0, ()), (ValueError, "ground set size must be positive")),
+    "subsets-ground-0": (lambda: subsets(0, 0), NO_GROUND),
+    "kneser-ground-0": (lambda: kneser(0, 0), NO_GROUND),
     "closure-cap-0": (lambda: closure([SWAP], cap=0), (ValueError, "cap must be positive")),
     "diameter-empty": (lambda: diameter(EMPTY), None),
     "is_connected-empty": (lambda: is_connected(EMPTY), True),

@@ -540,7 +540,7 @@ def switch_two_edges(g, rng):
         (a, b), (c, d) = rng.sample(edges, 2)
         if rng.random() < 0.5:
             c, d = d, c
-        if len({a, b, c, d}) == 4 and not g.has_edge(a, d) and not g.has_edge(c, b):
+        if len({a, b, c, d}) == 4 and not g.adj[a] >> d & 1 and not g.adj[c] >> b & 1:
             kept = set(edges) - {(a, b), (min(c, d), max(c, d))}
             return Graph.from_edges(g.n, sorted(kept | {(min(a, d), max(a, d)), (min(c, b), max(c, b))}))
 
@@ -552,7 +552,7 @@ def move_one_edge(g, rng):
     moves = [
         (a, b, c)
         for a in range(g.n) for b in g.neighbors(a) for c in range(g.n)
-        if c not in (a, b) and not g.has_edge(a, c) and g.degree(c) == g.degree(b) - 1
+        if c not in (a, b) and not g.adj[a] >> c & 1 and g.degree(c) == g.degree(b) - 1
     ]
     if not moves:
         return None
