@@ -38,9 +38,10 @@ def _refine(
     cellof: list[int],
     dirty: list[bool],
     i: int,
+    cells: int,
     trace: _Trace,
     expect: Optional[_Trace] = None,
-) -> bool:
+) -> int:
     """Refine a flat partition in place to the fixpoint of splitting
     every cell by neighbour counts into every splitter cell.
 
@@ -55,11 +56,27 @@ def _refine(
     are laid out with the larger neighbour count first.  Any fixed rule
     would do, this one is the deterministic contract.  It gives the result
     of rescanning every splitter from the first cell after each split
-    (``tests/reference_search.py``) because a clean cell cannot split
-    anything: it is clean after a check that splits nothing, and after a
-    split it made, since each fragment is uniform towards it; the
-    partition only gets finer, and a subset of a uniform cell stays
-    uniform.  Every fragment starts dirty.
+    (``tests/reference_search.py``) because a clean cell splits nothing
+    by the time the scan reaches it.
+
+    Call a cell settled when every cell is uniform towards it.  It stays
+    settled, since the partition only gets finer and a subset of a
+    uniform cell stays uniform.  A checked splitter is settled once its
+    fragments are made, each being uniform towards it, and the caller
+    leaves clean only settled cells.  When a dirty cell splits, every
+    fragment starts dirty.  When a clean cell splits, every fragment but
+    the last in position starts dirty, and the last stays clean.  So a
+    clean cell X is settled, or was cut from a settled cell A through a
+    chain of such last fragments.  Every cell before the scan is settled,
+    by induction: the scan resumes at or before the first fragment of a
+    split, and passes a cell only once it is checked or clean when
+    reached.  Once the scan reaches X, each cell is uniform towards A and
+    towards the part of A before X, hence towards their difference X, so
+    X splits nothing and is settled.  The fragment kept clean is the
+    last in position, not the largest as in Hopcroft's rule, so the
+    splitters come in the same order and the trace does not change.
+    nauty skips these splitters too (McKay and Piperno, "Practical graph
+    isomorphism, II", 2014).
 
     The splitter's neighbour counts are tallied from the neighbour lists
     ``nbrs`` into ``cnt``, zeroed again after each splitter, and only the
@@ -70,7 +87,9 @@ def _refine(
     first; every cell before that point is clean.
 
     The caller passes as ``i`` a position at or before the first dirty
-    cell.  On return no cell is dirty.
+    cell, and as ``cells`` the number of cells.  A discrete partition
+    splits no further, so the scan stops once there are n cells.  On
+    return no cell is dirty, and the number of cells is returned.
 
     The (neighbour count, end) of every fragment is appended to
     ``trace`` in the order the fragments are made.  Nothing in that order
@@ -78,12 +97,12 @@ def _refine(
     trace included: relabelling the graph and the partition's cells alike
     leaves the trace unchanged.  With ``expect`` given, the trace must
     come out equal to it: at the first fragment that breaks it, every
-    dirty flag is cleared and False returned, as it is when ``expect``
-    has entries left over at the end."""
+    dirty flag is cleared and 0 returned, as it is when ``expect`` has
+    entries left over at the end."""
     n = len(lab)
     cnt = [0] * n
     get = cnt.__getitem__
-    while i < n:
+    while i < n and cells < n:
         e = end[i]
         if not dirty[i]:
             i = e
@@ -105,21 +124,26 @@ def _refine(
                 resume = c
             # sorted() is stable even reversed, so each fragment keeps the vertex order
             lab[c:ce] = sorted(cell, key=get, reverse=True)
-            for key in sorted(set(counts), reverse=True):
+            keys = sorted(set(counts), reverse=True)
+            cells += len(keys) - 1
+            was = dirty[c]
+            for key in keys:
                 fe = c + counts.count(key)
                 if expect is not None and (len(trace) == len(expect) or expect[len(trace)] != (key, fe)):
                     dirty[:] = [False] * n
-                    return False
+                    return 0
                 trace.append((key, fe))
                 end[c] = fe
-                dirty[c] = True
+                dirty[c] = fe < ce or was
                 for u in lab[c:fe]:
                     cellof[u] = c
                 c = fe
         for u in touched:
             cnt[u] = 0
         i = resume
-    return expect is None or len(trace) == len(expect)
+    # a scan that stops at a discrete partition leaves flags set at or past i
+    dirty[i:] = [False] * (n - i)
+    return cells if expect is None or len(trace) == len(expect) else 0
 
 
 def _cells(lab: list[int], end: list[int]) -> tuple[tuple[int, ...], ...]:
@@ -163,7 +187,7 @@ def refine(g: Graph, cells: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], .
     if bad:
         raise ValueError(f"cells are not a partition of range({g.n}) into nonempty cells")
     lab, end, cellof, dirty = _flatten(g.n, cells)
-    _refine([g.neighbors(v) for v in range(g.n)], lab, end, cellof, dirty, 0, [])
+    _refine([g.neighbors(v) for v in range(g.n)], lab, end, cellof, dirty, 0, len(cells), [])
     return _cells(lab, end)
 
 
@@ -353,15 +377,19 @@ class _IRSearch:
         """The search, with a frame for each node on the current path on
         one stack; it pauses once, after the first leaf.
 
-        A frame holds a node's equitable partition, its prefix of
-        individualized vertices, their split traces, its target cell (the
-        leftmost of least size among the non-singletons), its untried
-        children, and its searched children closed under the orbits.
-        A child individualizes a vertex v of the target cell: v alone at
-        the cell's start, then the rest of the cell.  Only those two cells
-        start dirty: every other cell c is a cell of the node, and every
-        child cell lies inside a cell of the node, whose vertices all have
-        equally many neighbours in c; so c splits nothing.
+        A frame holds a node's equitable partition and its number of
+        cells, its prefix of individualized vertices, their split traces,
+        its target cell (the leftmost of least size among the
+        non-singletons), its untried children, and its searched children
+        closed under the orbits.  A node with n cells is a leaf.  A child
+        individualizes a vertex v of the target cell: v alone at the
+        cell's start, then the rest of the cell, one cell more than the
+        node has.  Only {v} starts dirty.  Every other cell c is a cell of
+        the node, settled in ``_refine``'s sense: every child cell lies
+        inside a cell of the node, whose vertices all have equally many
+        neighbours in c.  The rest is the last fragment of the target
+        cell, which was settled, so it stays clean as ``_refine`` keeps
+        such a fragment.
 
         A leaf gives the depth of the node to resume at, and the stack
         unwinds to it; -1 empties the stack and ends the search.  A frame
@@ -373,17 +401,12 @@ class _IRSearch:
         lab, end, cellof, dirty = _flatten(n, [range(n)])
         prefix: tuple[int, ...] = ()
         traces: tuple[_Trace, ...] = ([],)
-        if not _refine(nbrs, lab, end, cellof, dirty, 0, traces[0], target_trace[0] if target_trace else None):
+        cells = _refine(nbrs, lab, end, cellof, dirty, 0, 1, traces[0], target_trace[0] if target_trace else None)
+        if not cells:
             return
         stack = []
         while True:
-            # the node's target cell, or None at a leaf
-            target, size, i = None, n + 1, 0
-            while i < n:
-                if 1 < end[i] - i < size:
-                    target, size = i, end[i] - i
-                i = end[i]
-            if target is None:
+            if cells == n:
                 jump = self._leaf(lab, prefix, traces)
                 if self.leaves == 1:
                     yield
@@ -391,12 +414,17 @@ class _IRSearch:
                 # the path whose child the node on top marks searched
                 path = prefix
             else:
-                stack.append((lab, end, cellof, prefix, traces, target, iter(lab[target:end[target]]), set()))
+                target, size, i = 0, n + 1, 0
+                while i < n:
+                    if 1 < end[i] - i < size:
+                        target, size = i, end[i] - i
+                    i = end[i]
+                stack.append((lab, end, cellof, cells, prefix, traces, target, iter(lab[target:end[target]]), set()))
                 path = None
             # descend to the next untried child that refines, popping
             # every frame whose children are all tried
             while stack:
-                lab, end, cellof, prefix, traces, target, children, covered = stack[-1]
+                lab, end, cellof, cells, prefix, traces, target, children, covered = stack[-1]
                 if path is not None:
                     covered.add(path[len(prefix)])
                     self._close_orbits(covered, prefix)
@@ -413,17 +441,21 @@ class _IRSearch:
                     child_end[target + 1] = stop
                     for u in rest:
                         child_cellof[u] = target + 1
-                    dirty[target] = dirty[target + 1] = True
+                    dirty[target] = True
                     trace: _Trace = []
-                    if _refine(nbrs, child_lab, child_end, child_cellof, dirty, target, trace, expect):
+                    child_cells = _refine(
+                        nbrs, child_lab, child_end, child_cellof, dirty, target, cells + 1, trace, expect
+                    )
+                    if child_cells:
                         break
                 else:
-                    path = stack.pop()[3]
+                    path = stack.pop()[4]
                     continue
                 break
             else:
                 return
-            lab, end, cellof, prefix, traces = child_lab, child_end, child_cellof, prefix + (v,), traces + (trace,)
+            lab, end, cellof, cells = child_lab, child_end, child_cellof, child_cells
+            prefix, traces = prefix + (v,), traces + (trace,)
 
     def _close_orbits(self, points: set[int], prefix: tuple[int, ...]) -> set[int]:
         """Grow ``points`` in place to its orbit under the generators

@@ -99,6 +99,29 @@ MUTANTS = (
         "",
         (SEARCH + "test_refine_cells_matches_reference_random",),
     ),
+    # a clean cell's last fragment starts clean, a dirty cell's dirty, and
+    # refinement stops at n cells, a child starting with one more than its node
+    Mutant(
+        "search.py",
+        "last fragment always clean",
+        "dirty[c] = fe < ce or was",
+        "dirty[c] = fe < ce",
+        (SEARCH + "test_refine_matches_reference_on_random_partitions",),
+    ),
+    Mutant(
+        "search.py",
+        "refinement stops at n - 1 cells",
+        "while i < n and cells < n:",
+        "while i < n and cells < n - 1:",
+        (SEARCH + "test_refine_matches_reference_on_random_partitions",),
+    ),
+    Mutant(
+        "search.py",
+        "a child starts with two cells more than its node",
+        "target, cells + 1, trace",
+        "target, cells + 2, trace",
+        (SEARCH + "test_refine_cells_matches_reference_on_search_partitions", SEARCH + "test_canonical_form_golden"),
+    ),
     Mutant(
         "search.py",
         "rightmost smallest target cell",
@@ -588,6 +611,15 @@ MUTANTS = (
 )
 
 SURVIVORS = (
+    Survivor(
+        "search.py",
+        "the rest of an individualized cell starts dirty again",
+        "dirty[target] = True",
+        "dirty[target] = dirty[target + 1] = True",
+        "the rest of the target cell splits nothing when the scan reaches"
+        " it, so checking it as a splitter only repeats work: every output,"
+        " trace and count stays the same",
+    ),
     Survivor(
         "search.py",
         "no stop at a generator after a match",

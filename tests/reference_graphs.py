@@ -3,7 +3,8 @@ symmetry check, the neighbour lists and the subset-graph construction,
 girth with each edge deleted in turn, the bit-at-a-time graph6 decoder,
 and DOT text built whole from a list of every pair's edge, kept
 independent of the set-bit, string-slicing and line-at-a-time ones so
-that differential tests can catch a bug in either.
+that differential tests can catch a bug in either.  Also the graphs of
+seeded Latin squares, which ``autkit`` does not build.
 
 All visit every pair of vertices, so keep their inputs small."""
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from typing import Mapping, Optional
 
 from autkit import Graph, Graph6Error
@@ -124,3 +126,43 @@ def to_dot(g: Graph, layout: Optional[Mapping[int, tuple[float, float]]] = None)
     lines += [f"  {u} -- {v};" for u in range(g.n) for v in range(u + 1, g.n) if (g.adj[u] >> v) & 1]
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def latin_square(m: int, seed: int) -> list[list[int]]:
+    """An order-m Latin square on the symbols 0..m-1, filled cell by cell
+    in row-major order by backtracking; each cell tries the symbols in an
+    order shuffled by ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    square = [[-1] * m for _ in range(m)]
+
+    def fill(k: int) -> bool:
+        if k == m * m:
+            return True
+        r, c = divmod(k, m)
+        symbols = list(range(m))
+        rng.shuffle(symbols)
+        for s in symbols:
+            if s not in square[r][:c] and all(square[i][c] != s for i in range(r)):
+                square[r][c] = s
+                if fill(k + 1):
+                    return True
+        square[r][c] = -1
+        return False
+
+    assert fill(0)
+    return square
+
+
+def latin_square_graph(square: list[list[int]]) -> Graph:
+    """The graph on the cells of a Latin square, cell (r, c) being vertex
+    r * m + c, in which two cells are adjacent when they share a row, a
+    column or a symbol."""
+    m = len(square)
+    cells = [(r, c, square[r][c]) for r in range(m) for c in range(m)]
+    edges = [
+        (i, j)
+        for i in range(m * m)
+        for j in range(i + 1, m * m)
+        if any(a == b for a, b in zip(cells[i], cells[j]))
+    ]
+    return Graph.from_edges(m * m, edges)

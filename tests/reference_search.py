@@ -99,8 +99,9 @@ def path_trace(g: Graph, order: list[int]) -> list[list[tuple[int, int]]]:
     root.  A vertex individualized at a cell's start stays there, so the
     path takes ``order[t]`` at each target cell start t.  Each depth
     refines from a partition with every cell a splitter, where the search
-    marks only the two cells individualization makes; the other cells
-    split nothing, so the traces agree."""
+    marks only the singleton cell individualization makes; the other
+    cells split nothing by the time they would be checked, so the traces
+    agree."""
     cells = [tuple(range(g.n))]
     trace: list[list[tuple[int, int]]] = []
     while True:

@@ -36,6 +36,7 @@ import autkit.search as search
 import reference_perms
 import reference_search
 from conftest import all_masks, graph_from_mask, random_cubic, random_graph, run_cli
+from reference_graphs import latin_square, latin_square_graph
 from test_cfi import BASES as CFI_BASES, cfi, expected_order as expected_cfi_order
 from unpruned_search import unpruned_search
 
@@ -182,28 +183,74 @@ CUBIC_36 = graph6_decode(
 )
 
 
+def test_refine_matches_reference_on_random_partitions():
+    # _refine itself, from the two kinds of start it gets: an ordered
+    # partition with every cell dirty, as refine() passes it, and an
+    # equitable one with a vertex individualized and only {v} dirty, as
+    # the search passes a child; the trace, the returned cell count and
+    # the flags left must match as well as the cells
+    rng = random.Random(41)
+    for k in range(4000):
+        n = rng.randint(1, 16)
+        if k % 4 == 3 and n % 2 == 0 and n >= 4:
+            g = random_cubic(rng, n)
+        else:
+            g = random_graph(rng, n, rng.choice((0.1, 0.25, 0.5, 0.75, 0.9)))
+        cells = list(random_partition(rng, n))
+        start = None
+        if k % 2:
+            cells = list(refine(g, cells))
+            wide = [t for t, cell in enumerate(cells) if len(cell) > 1]
+            if wide:
+                t = rng.choice(wide)
+                v = rng.choice(cells[t])
+                cells[t:t + 1] = [(v,), tuple(u for u in cells[t] if u != v)]
+                start = sum(map(len, cells[:t]))
+        lab, end, cellof, dirty = search._flatten(n, cells)
+        i = 0
+        if start is not None:
+            dirty[:] = [False] * n
+            dirty[start] = True
+            i = start
+        trace = []
+        count = search._refine([g.neighbors(u) for u in range(n)], lab, end, cellof, dirty, i, len(cells), trace)
+        want_trace = []
+        want = reference_search._refine_cells(g, cells, want_trace)
+        assert list(search._cells(lab, end)) == want
+        assert trace == want_trace
+        assert count == len(want)
+        assert not any(dirty)
+
+
 @pytest.mark.parametrize(
     "g",
-    [kneser(6, 2), johnson_general(6, 2, 1), CUBIC_36, cfi(CFI_BASES["K4"][0]), Graph(12, (0,) * 12)],
-    ids=["K(6,2)", "J(6,2,1)", "cubic-36", "CFI(K4)", "edgeless-12"],
+    [
+        kneser(6, 2), johnson_general(6, 2, 1), kneser(7, 3), CUBIC_36, cfi(CFI_BASES["K4"][0]),
+        Graph(12, (0,) * 12), latin_square_graph(latin_square(5, 1)),
+    ],
+    ids=["K(6,2)", "J(6,2,1)", "K(7,3)", "cubic-36", "CFI(K4)", "edgeless-12", "latin-5-1"],
 )
 def test_refine_cells_matches_reference_on_search_partitions(g, monkeypatch):
-    # The search refines a child from the two cells individualization
-    # creates; the reference rescans every splitter of the same cells.
+    # The search refines a child from the one cell individualization
+    # makes, {v}; the reference rescans every splitter of the same cells.
     calls = []
     fast = search._refine
 
-    def recording(nbrs, lab, end, cellof, dirty, i, *trace):
-        cells = search._cells(lab, end)
-        done = fast(nbrs, lab, end, cellof, dirty, i, *trace)
-        calls.append((cells, search._cells(lab, end)))
-        return done
+    def recording(nbrs, lab, end, cellof, dirty, i, cells, trace, expect=None):
+        before = search._cells(lab, end)
+        count = fast(nbrs, lab, end, cellof, dirty, i, cells, trace, expect)
+        calls.append((before, cells, search._cells(lab, end), trace[:], count, any(dirty)))
+        return count
 
     monkeypatch.setattr(search, "_refine", recording)
     canonical_form(g)
     assert len(calls) > 1
-    for cells, out in calls:
-        assert list(out) == reference_search._refine_cells(g, list(cells))
+    for before, cells, out, trace, count, left_dirty in calls:
+        want_trace = []
+        assert list(out) == reference_search._refine_cells(g, list(before), want_trace)
+        assert trace == want_trace
+        assert (cells, count) == (len(before), len(out))
+        assert not left_dirty
 
 
 # --------------------------------------------------------- leaf certificate
@@ -583,11 +630,13 @@ def test_are_isomorphic_matches_two_canonical_forms_rigid_non_regular():
 
 def refine_individualized(g, v, trace=None, expect=None):
     """Refine g's partition [{v}, the rest] to equitable; return what
-    ``_refine`` returns and the dirty flags it leaves."""
+    ``_refine`` returns, the number of cells or 0, and the dirty flags it
+    leaves."""
     rest = [u for u in range(g.n) if u != v]
-    lab, end, cellof, dirty = search._flatten(g.n, [(v,), rest] if rest else [(v,)])
+    cells = [(v,), rest] if rest else [(v,)]
+    lab, end, cellof, dirty = search._flatten(g.n, cells)
     trace = [] if trace is None else trace
-    done = search._refine([g.neighbors(u) for u in range(g.n)], lab, end, cellof, dirty, 0, trace, expect)
+    done = search._refine([g.neighbors(u) for u in range(g.n)], lab, end, cellof, dirty, 0, len(cells), trace, expect)
     return done, dirty
 
 
@@ -810,6 +859,7 @@ COUNTED_GRAPHS = {
     "CFI(petersen) twisted": lambda: cfi(CFI_BASES["petersen"][0], twisted=True),
     "edgeless-62": lambda: Graph(62, (0,) * 62),
     "K62": lambda: Graph(62, tuple(((1 << 62) - 1) ^ (1 << v) for v in range(62))),
+    **{f"latin-6-{seed}": lambda seed=seed: latin_square_graph(latin_square(6, seed)) for seed in (1, 2, 3)},
 }
 
 
@@ -957,6 +1007,20 @@ def test_search_finishes_on_large_groups(g, order):
     assert schreier_sims(gens).order() == order
     cf = canonical_form(g)
     assert upper_bits(g, cf.relabeling) == cf.certificate
+
+
+@pytest.mark.parametrize("seed, order", [(1, 24), (2, 16), (3, 8)])
+def test_latin_square_graph_orders(seed, order):
+    # the counts file's Latin-square graphs: strongly regular, so nothing
+    # splits at the root, and their squares really are Latin
+    square = latin_square(6, seed)
+    assert all(sorted(row) == list(range(6)) for row in square)
+    assert all(sorted(column) == list(range(6)) for column in zip(*square))
+    g = latin_square_graph(square)
+    assert refine(g, [range(g.n)]) == (tuple(range(g.n)),)
+    gens, got = automorphisms(g)
+    assert all(is_automorphism(g, gen) for gen in gens)
+    assert got == schreier_sims(gens).order() == order
 
 
 SYMMETRIC = {"petersen": petersen_subsets(), "K(6,2)": kneser(6, 2), "J(6,2,1)": johnson_general(6, 2, 1)}
