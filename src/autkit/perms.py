@@ -189,18 +189,14 @@ class BSGS:
     order is the product of the fundamental orbit sizes.
 
     Every part only grows: generators are appended, orbits gain points,
-    and a transversal word once set is never rewritten.  Each level counts,
-    per orbit point x, the generators s whose Schreier generator for the
-    pair (x, s) has been sifted through the deeper levels.  A pair that
-    sifted through once stays a member, because the deeper groups only
-    grow, so each pair is sifted once.
+    and a transversal word once set is never rewritten.
 
     A level whose orbit is still a single point costs nothing until a
     generator moves its point; when a residue fixes every base point, a
     new level starts at the smallest point the residue moves.
     """
 
-    __slots__ = ("degree", "_identity", "_base", "_gens", "_words", "_inverses", "_checked")
+    __slots__ = ("degree", "_identity", "_base", "_gens", "_words", "_inverses")
 
     def __init__(self, degree: int) -> None:
         if degree < 1:
@@ -211,7 +207,6 @@ class BSGS:
         self._gens: list[list[tuple[int, ...]]] = []
         self._words: list[dict[int, tuple[int, ...]]] = []
         self._inverses: list[dict[int, tuple[int, ...]]] = []
-        self._checked: list[dict[int, int]] = []
 
     @property
     def base(self) -> tuple[int, ...]:
@@ -264,7 +259,6 @@ class BSGS:
         self._gens.append([])
         self._words.append({point: self._identity})
         self._inverses.append({point: self._identity})
-        self._checked.append({point: 0})
 
     def _sift(self, h: tuple[int, ...], start: int) -> tuple[tuple[int, ...], int]:
         """Sift ``h`` from level ``start``; return the residue and the level
@@ -286,8 +280,7 @@ class BSGS:
         if level == len(self._base):
             self._add_level(next(x for x, y in enumerate(h) if x != y))
         for i in range(level + 1):
-            gens, words = self._gens[i], self._words[i]
-            inverses, checked = self._inverses[i], self._checked[i]
+            gens, words, inverses = self._gens[i], self._words[i], self._inverses[i]
             gens.append(h)
             # old points need only the new generator, new points need all
             points = list(words)
@@ -299,19 +292,15 @@ class BSGS:
                     if y not in words:
                         words[y] = word = tuple([s[c] for c in w])
                         inverses[y] = _invert(word)
-                        checked[y] = 0
                         points.append(y)
 
     def _schreier_residue(self, i: int) -> Optional[tuple[tuple[int, ...], int]]:
-        """Sift the Schreier generators of level i not sifted before; return
-        the first residue other than the identity, with the level it stopped
-        at, or None when all of them are members."""
-        b, gens = self._base[i], self._gens[i]
-        inverses, checked, ident = self._inverses[i], self._checked[i], self._identity
+        """Sift every Schreier generator of level i; return the first residue
+        other than the identity, with the level it stopped at, or None when
+        all of them are members."""
+        b, inverses, ident = self._base[i], self._inverses[i], self._identity
         for x, w in self._words[i].items():
-            for k in range(checked[x], len(gens)):
-                checked[x] = k + 1
-                s = gens[k]
+            for s in self._gens[i]:
                 if x == b and s[b] == b:
                     continue  # the Schreier generator is s, a deeper level's generator
                 # t_x * s * t_{s(x)}^-1, applied left to right

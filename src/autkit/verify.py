@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional, TypeVar
 
 from .graphs import (
     Graph,
@@ -26,7 +26,7 @@ from .graphs import (
     petersen_subsets,
     subsets,
 )
-from .perms import CapacityError, Permutation, closure, schreier_sims
+from .perms import CapacityError, Permutation, _trusted, closure, schreier_sims
 from .search import automorphisms, brute_force_automorphisms
 
 __all__ = [
@@ -51,6 +51,7 @@ BYTE_POINTS = 256
 _IDENTITY_TABLE = bytes(range(BYTE_POINTS))
 
 Action = Callable[[Permutation], Permutation]
+T = TypeVar("T")
 
 
 def s5_generators() -> tuple[Permutation, Permutation]:
@@ -67,7 +68,8 @@ def induced_action(g: Permutation) -> Permutation:
     if g.degree != 5:
         raise ValueError(f"expected a degree-5 permutation, got degree {g.degree}")
     bit = [1 << x for x in g.images]
-    return Permutation([_VERTEX_OF_MASK[bit[a] | bit[b] | bit[c]] for a, b, c in _MEMBERS])
+    # distinct 3-subsets go to distinct 3-subsets under the bijection g
+    return _trusted(tuple([_VERTEX_OF_MASK[bit[a] | bit[b] | bit[c]] for a, b, c in _MEMBERS]))
 
 
 def _phi_table(gens: list[Permutation], action: Action) -> tuple[list[Permutation], list[Permutation]]:
@@ -227,6 +229,19 @@ class VerificationReport:
         return json.dumps(asdict(self), indent=2) + "\n"
 
 
+def _timed(
+    timings: dict[str, float], key: str, check: Callable[[], T], faults: tuple = (), fallback: Any = None
+) -> T:
+    """``check()``, its wall time recorded under ``key``; one of ``faults`` gives ``fallback`` instead."""
+    t0 = time.perf_counter()
+    try:
+        return check()
+    except faults:
+        return fallback
+    finally:
+        timings[key] = time.perf_counter() - t0
+
+
 def verify_petersen(
     run_brute: bool = False,
     graph: Optional[Graph] = None,
@@ -234,8 +249,9 @@ def verify_petersen(
 ) -> VerificationReport:
     """Run the whole certification pipeline and report the verdict.
 
-    ``graph`` and ``action`` may be overridden to probe mutations; a
-    failing check yields verdict FALSIFIED, never an exception.
+    ``graph`` and ``action`` may be overridden to probe mutations.  A
+    fault a probe causes gives its check's fallback, a value the verdict
+    fails (``(False, 0)`` pairs, or 0 for an order), never an exception.
     """
     timings: dict[str, float] = {}
 
@@ -253,52 +269,29 @@ def verify_petersen(
     phi = dict(zip(elements, images))
     timings["build_graph"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
     # given the homomorphism, which the verdict needs, all 120 images are products
     # of these two of one degree (row 0's pass), so Aut holds all iff it holds both
-    all_automorphisms = _phi_in_aut(g, [phi[s], phi[t]])
-    timings["phi_automorphisms"] = time.perf_counter() - t0
-
-    phi_images = {
-        s.cycle_string(): phi[s].cycle_string(),
-        t.cycle_string(): phi[t].cycle_string(),
-    }
-
-    t0 = time.perf_counter()
-    try:
-        hom_ok, pairs = _homomorphism_pairs(elements, images)
-    except CapacityError:
-        # a permutation past the byte tables' 256 points; no pair compared
-        hom_ok, pairs = False, 0
-    timings["homomorphism"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    kernel_ok = _kernel_trivial(elements, images)
-    timings["kernel"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    try:
-        image_order = len(closure([phi[s], phi[t]], cap=1000))
-    except (CapacityError, ValueError):
-        # corrupted actions can generate something huge (CapacityError) or
-        # mix image degrees (ValueError); 0 means "not 120"
-        image_order = 0
-    timings["image_order"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    # the search needs a vertex; 0 means "not 120", as for the probes below
-    aut_order_search = schreier_sims(automorphisms(g)[0]).order() if g.n else 0
-    timings["aut_search"] = time.perf_counter() - t0
-
+    all_automorphisms = _timed(timings, "phi_automorphisms", lambda: _phi_in_aut(g, [phi[s], phi[t]]))
+    phi_images = {x.cycle_string(): phi[x].cycle_string() for x in (s, t)}
+    # a permutation past the byte tables' 256 points; no pair compared
+    hom_ok, pairs = _timed(
+        timings, "homomorphism", lambda: _homomorphism_pairs(elements, images), (CapacityError,), (False, 0)
+    )
+    kernel_ok = _timed(timings, "kernel", lambda: _kernel_trivial(elements, images))
+    # corrupted actions can generate something huge (CapacityError) or mix
+    # image degrees (ValueError)
+    image_order = _timed(
+        timings, "image_order", lambda: len(closure([phi[s], phi[t]], cap=1000)), (CapacityError, ValueError), 0
+    )
+    # the search and the scan need a vertex; the scan has a vertex cap
+    aut_order_search = _timed(
+        timings, "aut_search", lambda: schreier_sims(automorphisms(g)[0]).order() if g.n else 0
+    )
     aut_order_brute: Optional[int] = None
     if run_brute:
-        t0 = time.perf_counter()
-        try:
-            aut_order_brute = len(brute_force_automorphisms(g)) if g.n else 0
-        except CapacityError:
-            # a probe graph past the scan's vertex cap; 0 means "not 120"
-            aut_order_brute = 0
-        timings["brute_force"] = time.perf_counter() - t0
+        aut_order_brute = _timed(
+            timings, "brute_force", lambda: len(brute_force_automorphisms(g)) if g.n else 0, (CapacityError,), 0
+        )
 
     verified = (
         all_automorphisms

@@ -543,6 +543,49 @@ MUTANTS = (
         "",
         (VERIFY + "test_verdict_falsified_when_the_search_order_alone_is_wrong",),
     ),
+    # each fault a probe causes gives its check's fallback, not an exception
+    Mutant(
+        "verify.py",
+        "homomorphism check lets CapacityError escape",
+        "(CapacityError,), (False, 0)",
+        "(), (False, 0)",
+        (VERIFY + "test_verify_petersen_images_past_256_points_falsified",),
+    ),
+    Mutant(
+        "verify.py",
+        "image order lets CapacityError escape",
+        "(CapacityError, ValueError), 0",
+        "(ValueError,), 0",
+        (VERIFY + "test_verdict_falsified_for_corrupted_generator_image",),
+    ),
+    Mutant(
+        "verify.py",
+        "image order lets ValueError escape",
+        "(CapacityError, ValueError), 0",
+        "(CapacityError,), 0",
+        (VERIFY + "test_verify_petersen_mixed_degree_images_falsified",),
+    ),
+    Mutant(
+        "verify.py",
+        "search run on a graph without vertices",
+        "schreier_sims(automorphisms(g)[0]).order() if g.n else 0",
+        "schreier_sims(automorphisms(g)[0]).order()",
+        (VERIFY + "test_verify_petersen_on_an_empty_probe_graph",),
+    ),
+    Mutant(
+        "verify.py",
+        "brute force run on a graph without vertices",
+        "len(brute_force_automorphisms(g)) if g.n else 0",
+        "len(brute_force_automorphisms(g))",
+        (VERIFY + "test_verify_petersen_on_an_empty_probe_graph",),
+    ),
+    Mutant(
+        "verify.py",
+        "brute force lets CapacityError escape",
+        "if g.n else 0, (CapacityError,), 0",
+        "if g.n else 0, (), 0",
+        (VERIFY + "test_verify_petersen_brute_on_a_graph_past_the_scan_cap",),
+    ),
     # the verifier's exhaustive checks, on the Cayley rows of S5: row 0
     # pair by pair, then every pair one point at a time
     Mutant(
@@ -656,15 +699,6 @@ SURVIVORS = (
         "the exhaustive count differs from the search's order only when the"
         " search is wrong; no test runs a wrong search, so on every probe"
         " graph the search term already decides",
-    ),
-    Survivor(
-        "perms.py",
-        "Schreier generators' checked mark not advanced",
-        "                checked[x] = k + 1\n",
-        "",
-        "a point whose mark stays put has the same Schreier generators"
-        " sifted again at the next pass, which only repeats work: each"
-        " sift of a member ends at the identity",
     ),
 )
 
