@@ -32,24 +32,30 @@ _Leaf = tuple[list[int], bytes, tuple[_Trace, ...]]
 
 
 def _refine(
-    nbrs: list[tuple[int, ...]],
-    lab: list[int],
+    adj: Sequence[int],
+    masks: list[int],
     end: list[int],
-    cellof: list[int],
     dirty: list[bool],
+    multi: int,
     i: int,
     cells: int,
     trace: _Trace,
     expect: Optional[_Trace] = None,
-) -> int:
-    """Refine a flat partition in place to the fixpoint of splitting
-    every cell by neighbour counts into every splitter cell.
+) -> tuple[int, int]:
+    """Refine a partition in place to the fixpoint of splitting every
+    cell by neighbour counts into every splitter cell.
 
-    The partition is nauty's layout: ``lab`` lists the vertices cell by
-    cell, ``end[s]`` is the end of the cell that starts at position s,
-    ``cellof[v]`` is the start of v's cell, and ``dirty[s]`` says that
-    the cell starting at s may still split something.  A cell keeps its
-    start when it splits, so cell order is position order.
+    The partition is held as cell bitmasks: ``masks[s]`` is the vertex
+    set of the cell that starts at position s, ``end[s]`` is the end of
+    that cell, ``dirty[s]`` says that the cell may still split something,
+    and bit s of ``multi`` is set when the cell has two or more vertices.
+    ``masks`` and ``end`` hold stale values, never read, where no cell
+    starts.  A cell keeps its start when it splits, so cell order is
+    position order.  Within a cell the vertices are taken in ascending
+    order.  That is the order the contract below keeps when every cell
+    starts ascending, as each fragment keeps its cell's order, and every
+    partition of the search has ascending cells: its root is range(n),
+    and a child puts v alone, then the rest of the target cell in order.
 
     The first dirty splitter, in cell order, that splits some cell splits
     every cell at once; the fragments keep the relative vertex order and
@@ -78,18 +84,25 @@ def _refine(
     nauty skips these splitters too (McKay and Piperno, "Practical graph
     isomorphism, II", 2014).
 
-    The splitter's neighbour counts are tallied from the neighbour lists
-    ``nbrs`` into ``cnt``, zeroed again after each splitter, and only the
-    non-singleton cells those neighbours touch are checked, in position
-    order: in a cell that no neighbour of the splitter touches every
-    vertex has count 0, so it cannot split.  After a split the scan
-    resumes at the earliest fragment or at the next cell, whichever comes
-    first; every cell before that point is clean.
+    A splitter's neighbour counts are held in bit planes: a vertex's
+    count has bit k set when the vertex is in ``planes[k]``.  A singleton
+    splitter {v} gives the one plane ``adj[v]``; a larger one adds its
+    vertices' rows with a ripple carry, so a splitter of s vertices in a
+    graph of maximum degree d needs min(s, d).bit_length() planes.  Only
+    the cells with a bit in ``multi`` that meet the splitter's neighbours
+    are checked, in position order: a singleton cannot split, and in a
+    cell that no neighbour meets every count is 0.  A cell is uniform
+    when each plane meets none or all of it.  Otherwise it splits plane
+    by plane from the top, the part in the plane first, which lays the
+    fragments out by descending count.  After a split the scan resumes
+    at the earliest fragment or at the next cell, whichever comes first;
+    every cell before that point is clean.
 
     The caller passes as ``i`` a position at or before the first dirty
     cell, and as ``cells`` the number of cells.  A discrete partition
     splits no further, so the scan stops once there are n cells.  On
-    return no cell is dirty, and the number of cells is returned.
+    return no cell is dirty, and the number of cells and ``multi`` are
+    returned.
 
     The (neighbour count, end) of every fragment is appended to
     ``trace`` in the order the fragments are made.  Nothing in that order
@@ -97,87 +110,101 @@ def _refine(
     trace included: relabelling the graph and the partition's cells alike
     leaves the trace unchanged.  With ``expect`` given, the trace must
     come out equal to it: at the first fragment that breaks it, every
-    dirty flag is cleared and 0 returned, as it is when ``expect`` has
+    dirty flag is cleared and 0 cells returned, as when ``expect`` has
     entries left over at the end."""
-    n = len(lab)
-    cnt = [0] * n
-    get = cnt.__getitem__
+    n = len(masks)
     while i < n and cells < n:
         e = end[i]
         if not dirty[i]:
             i = e
             continue
         dirty[i] = False
-        touched = nbrs[lab[i]] if e - i == 1 else [u for v in lab[i:e] for u in nbrs[v]]
-        for u in touched:
-            cnt[u] += 1
+        splitter = masks[i]
+        if e - i == 1:
+            touched = adj[splitter.bit_length() - 1]
+            planes = [touched]
+        else:
+            planes = []
+            touched = 0
+            while splitter:
+                low = splitter & -splitter
+                splitter ^= low
+                row = adj[low.bit_length() - 1]
+                touched |= row
+                for k, plane in enumerate(planes):
+                    planes[k] = plane ^ row
+                    row &= plane
+                    if not row:
+                        break
+                else:
+                    if row:
+                        planes.append(row)
+        top = len(planes) - 1
         resume = e
-        for c in sorted(set(map(cellof.__getitem__, touched))):
-            ce = end[c]
-            if ce - c == 1:
+        candidates = multi
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            c = low.bit_length() - 1
+            cell = masks[c]
+            if not cell & touched:
                 continue
-            cell = lab[c:ce]
-            counts = list(map(get, cell))
-            if counts.count(counts[0]) == len(counts):
+            for plane in planes:
+                hit = cell & plane
+                if hit and hit != cell:
+                    break
+            else:
                 continue
+            parts = [(cell, 0)]
+            for k in range(top, -1, -1):
+                plane, bit = planes[k], 1 << k
+                split = []
+                for part, key in parts:
+                    hit = part & plane
+                    if hit:
+                        split.append((hit, key | bit))
+                    if hit != part:
+                        split.append((part ^ hit, key))
+                parts = split
             if c < resume:
                 resume = c
-            # sorted() is stable even reversed, so each fragment keeps the vertex order
-            lab[c:ce] = sorted(cell, key=get, reverse=True)
-            keys = sorted(set(counts), reverse=True)
-            cells += len(keys) - 1
+            cells += len(parts) - 1
+            ce = end[c]
             was = dirty[c]
-            for key in keys:
-                fe = c + counts.count(key)
+            multi ^= low
+            for part, key in parts:
+                fe = c + part.bit_count()
                 if expect is not None and (len(trace) == len(expect) or expect[len(trace)] != (key, fe)):
                     dirty[:] = [False] * n
-                    return 0
+                    return 0, multi
                 trace.append((key, fe))
+                masks[c] = part
                 end[c] = fe
                 dirty[c] = fe < ce or was
-                for u in lab[c:fe]:
-                    cellof[u] = c
+                if fe - c > 1:
+                    multi |= 1 << c
                 c = fe
-        for u in touched:
-            cnt[u] = 0
         i = resume
     # a scan that stops at a discrete partition leaves flags set at or past i
     dirty[i:] = [False] * (n - i)
-    return cells if expect is None or len(trace) == len(expect) else 0
+    return (cells if expect is None or len(trace) == len(expect) else 0), multi
 
 
-def _cells(lab: list[int], end: list[int]) -> tuple[tuple[int, ...], ...]:
-    """The cells of a flat partition, in order."""
-    cells = []
-    i = 0
-    while i < len(lab):
-        cells.append(tuple(lab[i:end[i]]))
-        i = end[i]
-    return tuple(cells)
-
-
-def _flatten(n: int, cells: Iterable[Iterable[int]]) -> tuple[list[int], list[int], list[int], list[bool]]:
-    """``lab``, ``end``, ``cellof`` and ``dirty`` of ``_refine`` for the
-    ordered cells of a partition of range(n), with every cell dirty."""
-    lab: list[int] = []
-    end = [0] * n
-    cellof = [0] * n
-    dirty = [False] * n
-    for cell in cells:
-        start = len(lab)
-        lab.extend(cell)
-        end[start] = len(lab)
-        dirty[start] = True
-        for v in lab[start:]:
-            cellof[v] = start
-    return lab, end, cellof, dirty
+def _members(mask: int) -> Iterator[int]:
+    """The members of the set ``mask`` of vertices or positions, in
+    ascending order."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
 
 
 def refine(g: Graph, cells: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
     """Coarsest equitable refinement of the ordered ``cells`` with respect
     to ``g``: afterwards all vertices of a cell have equally many
     neighbours in every cell.  The cells must be nonempty and partition
-    range(g.n).  Idempotent, never coarsens, deterministic cell order."""
+    range(g.n).  Idempotent, never coarsens, deterministic cell order;
+    each cell lists its vertices in the order the input gave them."""
     try:
         # an exact int, as in Permutation: 0.0 == 0 would pass the range check
         cells = [tuple(map(operator.index, cell)) for cell in cells]
@@ -186,9 +213,25 @@ def refine(g: Graph, cells: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], .
         bad = True
     if bad:
         raise ValueError(f"cells are not a partition of range({g.n}) into nonempty cells")
-    lab, end, cellof, dirty = _flatten(g.n, cells)
-    _refine([g.neighbors(v) for v in range(g.n)], lab, end, cellof, dirty, 0, len(cells), [])
-    return _cells(lab, end)
+    n = g.n
+    masks, end, dirty, rank = [0] * n, [0] * n, [False] * n, [0] * n
+    multi = start = 0
+    for cell in cells:
+        for pos, v in enumerate(cell, start):
+            masks[start] |= 1 << v
+            rank[v] = pos
+        end[start] = start + len(cell)
+        dirty[start] = True
+        multi |= (len(cell) > 1) << start
+        start = end[start]
+    _refine(g.adj, masks, end, dirty, multi, 0, len(cells), [])
+    out = []
+    start = 0
+    while start < n:
+        # each output cell lies in one input cell; keep that cell's order
+        out.append(tuple(sorted(_members(masks[start]), key=rank.__getitem__)))
+        start = end[start]
+    return tuple(out)
 
 
 def _cert_bytes(nbrs: list[tuple[int, ...]], order: list[int]) -> bytes:
@@ -359,6 +402,7 @@ class _IRSearch:
     def __init__(self, g: Graph, target: Optional[tuple[Sequence[_Trace], bytes]] = None) -> None:
         if g.n < 1:
             raise ValueError("graph must have at least one vertex")
+        self.adj = g.adj
         self.nbrs = [g.neighbors(v) for v in range(g.n)]
         self.target_trace, self.target_cert = target if target is not None else (None, None)
         self.matches = self.leaves = 0
@@ -377,54 +421,61 @@ class _IRSearch:
         """The search, with a frame for each node on the current path on
         one stack; it pauses once, after the first leaf.
 
-        A frame holds a node's equitable partition and its number of
-        cells, its prefix of individualized vertices, their split traces,
-        its target cell (the leftmost of least size among the
-        non-singletons), its untried children, and its searched children
-        closed under the orbits.  A node with n cells is a leaf.  A child
-        individualizes a vertex v of the target cell: v alone at the
-        cell's start, then the rest of the cell, one cell more than the
-        node has.  Only {v} starts dirty.  Every other cell c is a cell of
-        the node, settled in ``_refine``'s sense: every child cell lies
-        inside a cell of the node, whose vertices all have equally many
-        neighbours in c.  The rest is the last fragment of the target
-        cell, which was settled, so it stays clean as ``_refine`` keeps
-        such a fragment.
+        A frame holds a node's equitable partition, as ``_refine``'s cell
+        masks and ends, and its number of cells; the ``multi`` its
+        children start from; its prefix of individualized vertices, their
+        split traces, its target cell (the leftmost of least size among
+        the cells in the node's ``multi``), its untried children in
+        ascending order, and its searched children closed under the
+        orbits.  A node with n cells is a leaf, whose vertex order is the
+        one vertex of each cell in position order.  A child individualizes
+        a vertex v of the target cell: v alone at the cell's start, then
+        the rest of the cell, one cell more than the node has.  It copies
+        the node's two lists and sets the masks of the two cells; in its
+        ``multi`` the target cell's bit is cleared, and the rest's is set
+        when it keeps two or more vertices.  Only {v} starts dirty.  Every
+        other cell c is a cell of the node, settled in ``_refine``'s
+        sense: every child cell lies inside a cell of the node, whose
+        vertices all have equally many neighbours in c.  The rest is the
+        last fragment of the target cell, which was settled, so it stays
+        clean as ``_refine`` keeps such a fragment.
 
         A leaf gives the depth of the node to resume at, and the stack
         unwinds to it; -1 empties the stack and ends the search.  A frame
         whose children are all tried is popped.  Either way, the node left
         on top marks its child on the path searched."""
-        nbrs, target_trace = self.nbrs, self.target_trace
-        n = len(nbrs)
+        adj, target_trace = self.adj, self.target_trace
+        n = len(adj)
         # one list of dirty flags serves every refinement: each ends clean
-        lab, end, cellof, dirty = _flatten(n, [range(n)])
+        masks, end, dirty = [0] * n, [0] * n, [False] * n
+        masks[0], end[0], dirty[0] = (1 << n) - 1, n, True
         prefix: tuple[int, ...] = ()
         traces: tuple[_Trace, ...] = ([],)
-        cells = _refine(nbrs, lab, end, cellof, dirty, 0, 1, traces[0], target_trace[0] if target_trace else None)
+        expect = target_trace[0] if target_trace else None
+        cells, multi = _refine(adj, masks, end, dirty, int(n > 1), 0, 1, traces[0], expect)
         if not cells:
             return
         stack = []
         while True:
             if cells == n:
-                jump = self._leaf(lab, prefix, traces)
+                jump = self._leaf([mask.bit_length() - 1 for mask in masks], prefix, traces)
                 if self.leaves == 1:
                     yield
                 del stack[jump + 1:]
                 # the path whose child the node on top marks searched
                 path = prefix
             else:
-                target, size, i = 0, n + 1, 0
-                while i < n:
-                    if 1 < end[i] - i < size:
-                        target, size = i, end[i] - i
-                    i = end[i]
-                stack.append((lab, end, cellof, cells, prefix, traces, target, iter(lab[target:end[target]]), set()))
+                target, size = 0, n + 1
+                for c in _members(multi):
+                    if end[c] - c < size:
+                        target, size = c, end[c] - c
+                multi ^= (1 << target) | ((size > 2) << (target + 1))
+                stack.append((masks, end, cells, multi, prefix, traces, target, _members(masks[target]), set()))
                 path = None
             # descend to the next untried child that refines, popping
             # every frame whose children are all tried
             while stack:
-                lab, end, cellof, cells, prefix, traces, target, children, covered = stack[-1]
+                masks, end, cells, multi, prefix, traces, target, children, covered = stack[-1]
                 if path is not None:
                     covered.add(path[len(prefix)])
                     self._close_orbits(covered, prefix)
@@ -433,18 +484,15 @@ class _IRSearch:
                 for v in children:
                     if v in covered:
                         continue
-                    rest = [u for u in lab[target:stop] if u != v]
-                    child_lab, child_end, child_cellof = lab[:], end[:], cellof[:]
-                    child_lab[target] = v
-                    child_lab[target + 1:stop] = rest
+                    child_masks, child_end = masks[:], end[:]
+                    child_masks[target] = 1 << v
+                    child_masks[target + 1] = masks[target] ^ 1 << v
                     child_end[target] = target + 1
                     child_end[target + 1] = stop
-                    for u in rest:
-                        child_cellof[u] = target + 1
                     dirty[target] = True
                     trace: _Trace = []
-                    child_cells = _refine(
-                        nbrs, child_lab, child_end, child_cellof, dirty, target, cells + 1, trace, expect
+                    child_cells, child_multi = _refine(
+                        adj, child_masks, child_end, dirty, multi, target, cells + 1, trace, expect
                     )
                     if child_cells:
                         break
@@ -454,7 +502,7 @@ class _IRSearch:
                 break
             else:
                 return
-            lab, end, cellof, cells = child_lab, child_end, child_cellof, child_cells
+            masks, end, cells, multi = child_masks, child_end, child_cells, child_multi
             prefix, traces = prefix + (v,), traces + (trace,)
 
     def _close_orbits(self, points: set[int], prefix: tuple[int, ...]) -> set[int]:

@@ -83,7 +83,8 @@ MUTANTS = (
             SEARCH + "test_search_order_matches_schreier_sims_random",
         ),
     ),
-    # refine's one guard: an empty cell would break the flat layout
+    # refine's one guard: an empty cell would share its start with the next
+    # cell, or start past the last position, and miscount the cells
     Mutant(
         "search.py",
         "empty cells let through refine's guard",
@@ -125,9 +126,55 @@ MUTANTS = (
     Mutant(
         "search.py",
         "rightmost smallest target cell",
-        "if 1 < end[i] - i < size:",
-        "if 1 < end[i] - i <= size:",
+        "if end[c] - c < size:",
+        "if end[c] - c <= size:",
         (SEARCH + "test_canonical_form_golden",),
+    ),
+    # the cell masks: a splitter's counts summed into bit planes, fragments
+    # laid out by descending count, and the multi-vertex cells in multi.
+    # Dropping the check that a cell meets the splitter's neighbours is an
+    # equivalent mutant, since such a cell meets every plane in none of
+    # it and is uniform, so it is not listed.
+    Mutant(
+        "search.py",
+        "carry dropped from the plane sum",
+        "                    row &= plane\n",
+        "                    row = 0\n",
+        (SEARCH + "test_refine_matches_reference_on_random_partitions",),
+    ),
+    Mutant(
+        "search.py",
+        "fragments laid out by ascending count",
+        "                    if hit:\n"
+        "                        split.append((hit, key | bit))\n"
+        "                    if hit != part:\n"
+        "                        split.append((part ^ hit, key))\n",
+        "                    if hit != part:\n"
+        "                        split.append((part ^ hit, key))\n"
+        "                    if hit:\n"
+        "                        split.append((hit, key | bit))\n",
+        (SEARCH + "test_refine_matches_reference_on_random_partitions",),
+    ),
+    Mutant(
+        "search.py",
+        "a fragment of two vertices left out of multi",
+        "if fe - c > 1:",
+        "if fe - c > 2:",
+        (SEARCH + "test_refine_matches_reference_on_random_partitions",),
+    ),
+    Mutant(
+        "search.py",
+        "the rest of the individualized cell left out of multi",
+        "multi ^= (1 << target) | ((size > 2) << (target + 1))",
+        "multi ^= 1 << target",
+        (SEARCH + "test_refine_cells_matches_reference_on_search_partitions", SEARCH + "test_canonical_form_golden"),
+    ),
+    Mutant(
+        "search.py",
+        "refine returns its cells in ascending order, not the caller's",
+        "sorted(_members(masks[start]), key=rank.__getitem__)",
+        "_members(masks[start])",
+        (SEARCH + "test_refine_cells_matches_reference_random",),
     ),
     Mutant(
         "search.py",

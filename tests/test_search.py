@@ -183,12 +183,38 @@ CUBIC_36 = graph6_decode(
 )
 
 
+def mask_state(n, cells):
+    """``masks``, ``end``, ``dirty`` and ``multi`` of ``_refine`` for the
+    ordered cells of a partition of range(n), with every cell dirty."""
+    masks, end, dirty = [0] * n, [0] * n, [False] * n
+    multi = start = 0
+    for cell in cells:
+        masks[start] = sum(1 << v for v in cell)
+        end[start] = start + len(cell)
+        dirty[start] = True
+        multi |= (len(cell) > 1) << start
+        start += len(cell)
+    return masks, end, dirty, multi
+
+
+def mask_cells(masks, end):
+    """The cells of a mask partition, in order, each in ascending order."""
+    cells = []
+    i = 0
+    while i < len(masks):
+        cells.append(tuple(search._members(masks[i])))
+        i = end[i]
+    return cells
+
+
 def test_refine_matches_reference_on_random_partitions():
     # _refine itself, from the two kinds of start it gets: an ordered
     # partition with every cell dirty, as refine() passes it, and an
     # equitable one with a vertex individualized and only {v} dirty, as
     # the search passes a child; the trace, the returned cell count and
-    # the flags left must match as well as the cells
+    # multi-vertex cells and the flags left must match as well as the
+    # cells.  A mask holds no vertex order, so each cell is sorted, the
+    # order every cell of the search keeps.
     rng = random.Random(41)
     for k in range(4000):
         n = rng.randint(1, 16)
@@ -196,7 +222,7 @@ def test_refine_matches_reference_on_random_partitions():
             g = random_cubic(rng, n)
         else:
             g = random_graph(rng, n, rng.choice((0.1, 0.25, 0.5, 0.75, 0.9)))
-        cells = list(random_partition(rng, n))
+        cells = [tuple(sorted(cell)) for cell in random_partition(rng, n)]
         start = None
         if k % 2:
             cells = list(refine(g, cells))
@@ -206,19 +232,19 @@ def test_refine_matches_reference_on_random_partitions():
                 v = rng.choice(cells[t])
                 cells[t:t + 1] = [(v,), tuple(u for u in cells[t] if u != v)]
                 start = sum(map(len, cells[:t]))
-        lab, end, cellof, dirty = search._flatten(n, cells)
+        masks, end, dirty, multi = mask_state(n, cells)
         i = 0
         if start is not None:
             dirty[:] = [False] * n
             dirty[start] = True
             i = start
         trace = []
-        count = search._refine([g.neighbors(u) for u in range(n)], lab, end, cellof, dirty, i, len(cells), trace)
+        count, multi = search._refine(g.adj, masks, end, dirty, multi, i, len(cells), trace)
         want_trace = []
         want = reference_search._refine_cells(g, cells, want_trace)
-        assert list(search._cells(lab, end)) == want
+        assert mask_cells(masks, end) == want
         assert trace == want_trace
-        assert count == len(want)
+        assert (count, multi) == (len(want), mask_state(n, want)[3])
         assert not any(dirty)
 
 
@@ -236,20 +262,21 @@ def test_refine_cells_matches_reference_on_search_partitions(g, monkeypatch):
     calls = []
     fast = search._refine
 
-    def recording(nbrs, lab, end, cellof, dirty, i, cells, trace, expect=None):
-        before = search._cells(lab, end)
-        count = fast(nbrs, lab, end, cellof, dirty, i, cells, trace, expect)
-        calls.append((before, cells, search._cells(lab, end), trace[:], count, any(dirty)))
-        return count
+    def recording(adj, masks, end, dirty, multi, i, cells, trace, expect=None):
+        before = mask_cells(masks, end)
+        count, out_multi = fast(adj, masks, end, dirty, multi, i, cells, trace, expect)
+        calls.append((before, multi, cells, mask_cells(masks, end), trace[:], count, out_multi, any(dirty)))
+        return count, out_multi
 
     monkeypatch.setattr(search, "_refine", recording)
     canonical_form(g)
     assert len(calls) > 1
-    for before, cells, out, trace, count, left_dirty in calls:
+    for before, multi, cells, out, trace, count, out_multi, left_dirty in calls:
         want_trace = []
-        assert list(out) == reference_search._refine_cells(g, list(before), want_trace)
+        assert out == reference_search._refine_cells(g, before, want_trace)
         assert trace == want_trace
         assert (cells, count) == (len(before), len(out))
+        assert (multi, out_multi) == (mask_state(g.n, before)[3], mask_state(g.n, out)[3])
         assert not left_dirty
 
 
@@ -634,9 +661,9 @@ def refine_individualized(g, v, trace=None, expect=None):
     leaves."""
     rest = [u for u in range(g.n) if u != v]
     cells = [(v,), rest] if rest else [(v,)]
-    lab, end, cellof, dirty = search._flatten(g.n, cells)
+    masks, end, dirty, multi = mask_state(g.n, cells)
     trace = [] if trace is None else trace
-    done = search._refine([g.neighbors(u) for u in range(g.n)], lab, end, cellof, dirty, 0, len(cells), trace, expect)
+    done = search._refine(g.adj, masks, end, dirty, multi, 0, len(cells), trace, expect)[0]
     return done, dirty
 
 
@@ -859,7 +886,10 @@ COUNTED_GRAPHS = {
     "CFI(petersen) twisted": lambda: cfi(CFI_BASES["petersen"][0], twisted=True),
     "edgeless-62": lambda: Graph(62, (0,) * 62),
     "K62": lambda: Graph(62, tuple(((1 << 62) - 1) ^ (1 << v) for v in range(62))),
-    **{f"latin-6-{seed}": lambda seed=seed: latin_square_graph(latin_square(6, seed)) for seed in (1, 2, 3)},
+    **{
+        f"latin-{m}-{seed}": lambda m=m, seed=seed: latin_square_graph(latin_square(m, seed))
+        for m in (6, 7) for seed in (1, 2, 3)
+    },
 }
 
 
